@@ -62,7 +62,6 @@ from .tree import (
     build_tree,
     leaf_score,
     leaf_weight,
-    predict_tree,
     presort_features,
     split_gain,
 )

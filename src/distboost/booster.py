@@ -25,7 +25,12 @@ import numpy as np
 from .dataset import Dataset
 from .errors import NumericError, TrainingError, ValidationError
 from .losses import Loss, ParameterDomain
-from .tree import TreeParams, build_tree, presort_features
+from .tree import RegressionTree, TreeParams, build_tree, presort_features
+
+
+def _like_input(out):
+    """Scalar in, float out; arrays pass through."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def clip_gradient(g, m):
@@ -37,10 +42,8 @@ def clip_gradient(g, m):
     m = float(m)
     if not (math.isfinite(m) and m > 0):
         raise ValidationError("clip threshold m must be positive and finite")
-    g = float(g)
-    if math.isnan(g):
-        return m
-    return max(-m, min(m, g))
+    g = np.asarray(g, dtype=np.float64)
+    return _like_input(np.where(np.isnan(g), m, np.clip(g, -m, m)))
 
 
 def effective_hessian(h, a=0.5):
@@ -52,23 +55,20 @@ def effective_hessian(h, a=0.5):
     a = float(a)
     if not (math.isfinite(a) and 0.0 <= a <= 0.5):
         raise ValidationError("a must lie in [0, 1/2]")
-    h = float(h)
-    if not math.isfinite(h):
-        return 0.0
-    return max(0.0, h)
+    h = np.asarray(h, dtype=np.float64)
+    return _like_input(np.where(np.isfinite(h), np.maximum(h, 0.0), 0.0))
 
 
 def clamp_to_domain(theta, domain: ParameterDomain):
-    """min(hi, max(lo, theta))."""
-    return min(domain.hi, max(domain.lo, float(theta)))
+    """min(hi, max(lo, theta)), elementwise for arrays."""
+    return _like_input(domain.clip(np.asarray(theta, dtype=np.float64)))
 
 
-def _clip_vec(g, m):
-    return np.where(np.isnan(g), m, np.clip(g, -m, m))
+_LEAF_TREE = RegressionTree([-1], [0.0], [-1], [-1], [1.0])
 
-
-def _heff_vec(h):
-    return np.where(np.isfinite(h), np.maximum(h, 0.0), 0.0)
+# leaf weights (trees x rows) routed per chunk by predict_many, which keeps
+# its peak memory flat in the number of rows
+_ROUTE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,9 @@ class BoostedModel:
     """Per-parameter base values and tree ensembles; immutable after training.
 
     Prediction for parameter j is the base value plus the shrunken sum of
-    its trees, clamped once into the parameter's working interval.
+    its trees, clamped once into the parameter's working interval.  The sum
+    runs tree by tree in fit order (cumsum, never pairwise) over one stacked
+    tree per parameter, packed at construction and routed in one pass.
     """
 
     def __init__(self, loss_name, nuisance, feature_names, params):
@@ -134,6 +136,10 @@ class BoostedModel:
         self.nuisance = dict(nuisance)
         self.feature_names = tuple(feature_names)
         self.params = list(params)
+        # per parameter: the base value as a one-leaf tree, then the trees shrunk by eta
+        self._stacks = [RegressionTree.stack(
+            [_LEAF_TREE] + [t for t, _ in p.trees], [p.base_value] + [eta for _, eta in p.trees])
+            for p in self.params]
 
     @property
     def n_params(self):
@@ -152,13 +158,8 @@ class BoostedModel:
     def predict(self, x):
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         self._check_width(x.shape[0])
-        out = []
-        for p in self.params:
-            acc = p.base_value
-            for tree, eta in p.trees:
-                acc += eta * tree.predict(x)
-            out.append(clamp_to_domain(acc, p.domain))
-        return tuple(out)
+        return tuple(clamp_to_domain(np.cumsum(stack.predict(x))[-1], p.domain)
+                     for p, stack in zip(self.params, self._stacks))
 
     def predict_many(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -166,11 +167,12 @@ class BoostedModel:
             raise ValidationError("X must be 2-D")
         self._check_width(X.shape[1])
         out = np.empty((X.shape[0], self.n_params))
-        for j, p in enumerate(self.params):
-            acc = np.full(X.shape[0], p.base_value)
-            for tree, eta in p.trees:
-                acc += eta * tree.predict_many(X)
-            out[:, j] = p.domain.clip(acc)
+        for j, (p, stack) in enumerate(zip(self.params, self._stacks)):
+            step = max(1, _ROUTE_BUDGET // stack.roots.size)
+            for lo in range(0, X.shape[0], step):
+                out[lo:lo + step, j] = np.cumsum(stack.predict_many(X[lo:lo + step]),
+                                                 axis=0)[-1]
+            out[:, j] = clamp_to_domain(out[:, j], p.domain)
         return out
 
     def fingerprint(self):
@@ -201,7 +203,7 @@ class TrainResult:
     clamped: np.ndarray       # (n, l) bool: row ever clamped during training
 
 
-def train(ds: Dataset, loss: Loss, configs, total_rounds, compute_trace=True):
+def train(ds: Dataset, loss: Loss, configs, total_rounds):
     """Run the boosting loop and return the model plus its training trace.
 
     Within a round, parameters update sequentially in index order, but all
@@ -263,10 +265,8 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds, compute_trace=True):
         stats = {}
         for j in active:
             cfg = configs[j]
-            g = _clip_vec(np.asarray(loss.grad(j, theta_cols, y, expo, adj),
-                                     dtype=np.float64), cfg.clip_m)
-            h = _heff_vec(np.asarray(loss.hess(j, theta_cols, y, expo, adj),
-                                     dtype=np.float64))
+            g = clip_gradient(loss.grad(j, theta_cols, y, expo, adj), cfg.clip_m)
+            h = effective_hessian(loss.hess(j, theta_cols, y, expo, adj), cfg.a)
             assert np.all(np.abs(g) <= cfg.clip_m)
             stats[j] = (g, h)
 
@@ -279,7 +279,7 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds, compute_trace=True):
             fitted = build_tree(X, g, h, cfg.tree, presorted)
             step = cfg.eta * fitted.predict_many(X)
             raw = theta[:, j] + step
-            new = domains[j].clip(raw)
+            new = clamp_to_domain(raw, domains[j])
             hit = new != raw
             n_clamped[j] = int(np.sum(hit))
             clamped[:, j] |= hit
@@ -287,17 +287,16 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds, compute_trace=True):
             assert domains[j].contains(theta[:, j])
             ensembles[j].trees.append((fitted, cfg.eta))
 
-        if compute_trace:
-            nll = float(np.sum(loss.value(theta_cols, y, expo, adj)))
-            if not math.isfinite(nll):
-                raise TrainingError(f"non-finite training loss at round {t}", t)
-            trace.append(RoundRecord(
-                round=t,
-                active=tuple(j in active for j in range(l)),
-                train_nll=nll,
-                max_abs_grad=tuple(max_abs_g),
-                clamped_rows=tuple(n_clamped),
-            ))
+        nll = float(np.sum(loss.value(theta_cols, y, expo, adj)))
+        if not math.isfinite(nll):
+            raise TrainingError(f"non-finite training loss at round {t}", t)
+        trace.append(RoundRecord(
+            round=t,
+            active=tuple(j in active for j in range(l)),
+            train_nll=nll,
+            max_abs_grad=tuple(max_abs_g),
+            clamped_rows=tuple(n_clamped),
+        ))
 
     model = BoostedModel(loss.name, loss.nuisance, ds.feature_names, ensembles)
     return TrainResult(model=model, trace=trace, initial_nll=initial_nll,

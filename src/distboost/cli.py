@@ -14,7 +14,8 @@ import sys
 from dataclasses import dataclass
 
 from . import booster, dataset, evaluate, losses, model_io
-from .errors import DistboostError, NumericError, ValidationError
+from .errors import DistboostError, ValidationError
+from .fields import Fields, parse_json, read_json
 from .tree import TreeParams
 
 _TOP_KEYS = {"loss", "response_col", "exposure_col", "adjustment_col",
@@ -39,39 +40,32 @@ class RunConfig:
     param_configs: list
 
 
-def _reject_unknown(obj, allowed, where):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
-
-
-def _param_config(block, where):
-    _reject_unknown(block, _PARAM_KEYS, where)
+def _param_config(block, where, name):
+    f = Fields(block, where, ValidationError, _PARAM_KEYS)
+    given = f.get("name", "string", None)
+    if given is not None and given != name:
+        raise ValidationError(f"{where}: name '{given}' != parameter '{name}'")
     tree = TreeParams(
-        gamma_reg=float(block.get("gamma_reg", 0.0)),
-        lambda_reg=float(block.get("lambda_reg", 1.0)),
-        a=float(block.get("a", 0.5)),
-        max_depth=int(block.get("max_depth", 3)),
-        min_leaf_samples=int(block.get("min_leaf_samples", 1)),
+        gamma_reg=f.get("gamma_reg", "number", 0.0),
+        lambda_reg=f.get("lambda_reg", "number", 1.0),
+        a=f.get("a", "number", 0.5),
+        max_depth=f.get("max_depth", "integer", 3),
+        min_leaf_samples=f.get("min_leaf_samples", "integer", 1),
     )
-    domain = block.get("domain")
+    domain = f.items("domain", "number", None)
     if domain is not None:
-        if not (isinstance(domain, list) and len(domain) == 2):
+        if len(domain) != 2:
             raise ValidationError(f"{where}.domain: expected [lo, hi]")
-        domain = losses.ParameterDomain(float(domain[0]), float(domain[1]))
-    rounds = block.get("rounds")
-    base_value = block.get("base_value")
+        domain = losses.ParameterDomain(*domain)
     cfg = booster.ParamTrainConfig(
-        eta=float(block.get("eta", 0.1)),
-        rounds=None if rounds is None else int(rounds),
-        clip_m=float(block.get("clip_m", 1e4)),
+        eta=f.get("eta", "number", 0.1),
+        rounds=f.get("rounds", "integer", None),
+        clip_m=f.get("clip_m", "number", 1e4),
         tree=tree,
-        interval=int(block.get("interval", 1)),
-        offset=int(block.get("offset", 0)),
+        interval=f.get("interval", "integer", 1),
+        offset=f.get("offset", "integer", 0),
         domain=domain,
-        base_value=None if base_value is None else float(base_value),
+        base_value=f.get("base_value", "number", None),
     )
     cfg.validate()
     return cfg
@@ -79,74 +73,58 @@ def _param_config(block, where):
 
 def parse_run_config(doc):
     """Validate a config document and build the loss and per-parameter configs."""
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    if "loss" not in doc:
-        raise ValidationError("config: missing 'loss' block")
-    _reject_unknown(doc["loss"], _LOSS_KEYS, "config.loss")
-    if "name" not in doc["loss"]:
-        raise ValidationError("config.loss: missing 'name'")
-    loss = losses.make_loss(doc["loss"]["name"], doc["loss"].get("nuisance"))
+    f = Fields(doc, "config", ValidationError, _TOP_KEYS)
+    lf = Fields(f.get("loss", "object"), "config.loss", ValidationError, _LOSS_KEYS)
+    loss = losses.make_loss(lf.get("name", "string"), lf.get("nuisance", "object", None))
 
-    if "total_rounds" not in doc:
-        raise ValidationError("config: missing 'total_rounds'")
-    total_rounds = int(doc["total_rounds"])
+    total_rounds = f.get("total_rounds", "integer")
     if total_rounds < 0:
         raise ValidationError("config: total_rounds must be >= 0")
+    seed = f.get("seed", "integer", 0)
+    if seed < 0:
+        raise ValidationError("config: seed must be >= 0")
 
-    blocks = doc.get("params")
+    blocks = f.get("params", "array", None)
     if blocks is None:
-        param_configs = [_param_config({}, f"config.params[{j}]")
-                         for j in range(loss.n_params)]
-    else:
-        if not isinstance(blocks, list) or len(blocks) != loss.n_params:
-            raise ValidationError(
-                f"config.params must list exactly {loss.n_params} block(s) "
-                f"for loss '{loss.name}'")
-        param_configs = []
-        for j, block in enumerate(blocks):
-            where = f"config.params[{j}]"
-            name = block.get("name")
-            if name is not None and name != loss.param_names[j]:
-                raise ValidationError(
-                    f"{where}: name '{name}' != parameter '{loss.param_names[j]}'")
-            param_configs.append(_param_config(block, where))
+        blocks = [{}] * loss.n_params
+    elif len(blocks) != loss.n_params:
+        raise ValidationError(
+            f"config.params must list exactly {loss.n_params} block(s) "
+            f"for loss '{loss.name}'")
+    param_configs = [_param_config(block, f"config.params[{j}]", loss.param_names[j])
+                     for j, block in enumerate(blocks)]
 
-    holdout = doc.get("holdout_fraction")
     return RunConfig(
         loss=loss,
-        response_col=str(doc.get("response_col", "y")),
-        exposure_col=doc.get("exposure_col"),
-        adjustment_col=doc.get("adjustment_col"),
+        response_col=f.get("response_col", "string", "y"),
+        exposure_col=f.get("exposure_col", "string", None),
+        adjustment_col=f.get("adjustment_col", "string", None),
         total_rounds=total_rounds,
-        seed=int(doc.get("seed", 0)),
-        holdout_fraction=None if holdout is None else float(holdout),
-        trace_path=doc.get("trace_path"),
+        seed=seed,
+        holdout_fraction=f.get("holdout_fraction", "number", None),
+        trace_path=f.get("trace_path", "string", None),
         param_configs=param_configs,
     )
 
 
-def _load_json(path, what):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} {path}: not valid JSON: {exc}") from None
-
-
 def _write_trace(path, loss, trace):
-    cols = ["round"] + [f"active_{p}" for p in loss.param_names] + ["train_nll"]
+    """One row per round; per-parameter cells are empty where it was inactive."""
+    names = loss.param_names
+    cols = (["round"] + [f"active_{p}" for p in names] + ["train_nll"]
+            + [f"max_abs_grad_{p}" for p in names] + [f"clamped_rows_{p}" for p in names])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for rec in trace:
             cells = [str(rec.round)]
             cells += ["1" if f else "0" for f in rec.active]
             cells.append(repr(rec.train_nll))
+            cells += [repr(g) if f else "" for f, g in zip(rec.active, rec.max_abs_grad)]
+            cells += [str(c) if f else "" for f, c in zip(rec.active, rec.clamped_rows)]
             fh.write(",".join(cells) + "\n")
 
 
 def cmd_train(args):
-    config = parse_run_config(_load_json(args.config, "config"))
+    config = parse_run_config(read_json(args.config, "config", ValidationError))
     ds = dataset.load_csv(args.data, config.response_col,
                           config.exposure_col, config.adjustment_col)
     holdout = None
@@ -207,11 +185,7 @@ def cmd_eval(args):
 
 
 def cmd_check_loss(args):
-    try:
-        nuisance = json.loads(args.nuisance)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--nuisance: not valid JSON: {exc}") from None
-    loss = losses.make_loss(args.loss, nuisance)
+    loss = losses.make_loss(args.loss, parse_json(args.nuisance, "--nuisance", ValidationError))
     try:
         y_samples = [float(v) for v in args.y_samples.split(",") if v.strip() != ""]
     except ValueError:
@@ -223,15 +197,13 @@ def cmd_check_loss(args):
 
 
 def cmd_gen(args):
-    spec = _load_json(args.params, "params file")
-    _reject_unknown(spec, _GEN_KEYS, "params file")
-    if "cuts" not in spec or "cells" not in spec:
-        raise ValidationError("params file: 'cuts' and 'cells' are required")
-    param_fn = dataset.PiecewiseParamMap(spec["cuts"], spec["cells"])
+    spec = Fields(read_json(args.params, "params file", ValidationError), "params file",
+                  ValidationError, _GEN_KEYS)
+    param_fn = dataset.PiecewiseParamMap(spec.get("cuts", "array"), spec.get("cells", "array"))
     ds = dataset.generate_synthetic(
         args.dist, args.n, args.seed, param_fn,
-        exposure_choices=spec.get("exposure_choices"),
-        adjustment_choices=spec.get("adjustment_choices"),
+        exposure_choices=spec.items("exposure_choices", "number", None),
+        adjustment_choices=spec.items("adjustment_choices", "number", None),
     )
     dataset.write_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows to {args.out}")
@@ -293,9 +265,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from different data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,13 +37,7 @@ class EvalReport:
         ]
 
     def to_dict(self):
-        return {
-            "model_id": self.model_id,
-            "dataset_id": self.dataset_id,
-            "n": self.n,
-            "total_nll": self.total_nll,
-            "mean_nll": self.mean_nll,
-        }
+        return asdict(self)
 
 
 def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):

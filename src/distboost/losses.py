@@ -21,69 +21,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, polygamma
+from scipy.special import digamma, gammaln, polygamma
 
 from .dataset import Dataset
 from .errors import ValidationError
-
-_LN_2PI = 1.8378770664093454835606594728112353
-_LN_PI = 1.1447298858494001741434273513530587
-
-# Stirling-series correction coefficients B_{2k} / (2k (2k-1)), applied
-# after the argument has been recurrence-shifted above 10.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
+from .fields import typed
 
 
 def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Arguments below 1/2 go through the reflection formula
-    ln G(x) = ln pi - ln sin(pi x) - ln G(1 - x); everything else is
-    recurrence-shifted above 10 and evaluated with the Stirling series
-    plus seven Bernoulli correction terms.  The series truncation error
-    is below 1e-16; total error is limited by float64 rounding of the
-    result (sub-1e-10 absolute until the result magnitude itself makes
-    one ulp larger than that).
+    """Natural log of the gamma function for finite x > 0 (scipy's gammaln).
 
     Accepts scalars or arrays; scalar in, float out.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise ValidationError("log_gamma requires finite x > 0")
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-
-    small = flat < 0.5
-    z = np.where(small, 1.0 - flat, flat)
-
-    shift = np.zeros_like(z)
-    for _ in range(10):
-        low = z < 10.0
-        if not low.any():
-            break
-        shift[low] += np.log(z[low])
-        z[low] += 1.0
-
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = np.zeros_like(z)
-    for c in reversed(_STIRLING):
-        series = series * inv2 + c
-    series *= inv
-    res = (z - 0.5) * np.log(z) - z + 0.5 * _LN_2PI + series - shift
-
-    if small.any():
-        xs = flat[small]
-        res[small] = _LN_PI - np.log(np.sin(np.pi * xs)) - res[small]
-    return float(res[0]) if scalar else res
+    res = gammaln(arr)
+    return float(res) if arr.ndim == 0 else res
 
 
 @dataclass(frozen=True)
@@ -492,14 +446,16 @@ def make_loss(name, nuisance=None):
     if name not in _REGISTRY:
         raise ValidationError(f"unknown loss '{name}'; known: {', '.join(loss_names())}")
     cls, required = _REGISTRY[name]
-    nuisance = dict(nuisance or {})
+    nuisance = typed({} if nuisance is None else nuisance, "object",
+                     f"loss '{name}' nuisance", ValidationError)
     missing = [k for k in required if k not in nuisance]
     if missing:
         raise ValidationError(f"loss '{name}' needs nuisance constant(s): {', '.join(missing)}")
     unknown = [k for k in nuisance if k not in required]
     if unknown:
         raise ValidationError(f"loss '{name}' got unknown nuisance key(s): {', '.join(unknown)}")
-    return cls(**{k: nuisance[k] for k in required})
+    return cls(**{k: typed(nuisance[k], "number", f"loss '{name}' nuisance '{k}'",
+                           ValidationError) for k in required})
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

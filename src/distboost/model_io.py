@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 
 from .booster import BoostedModel, ParamEnsemble
-from .errors import ModelFormatError
-from .losses import ParameterDomain, loss_names
+from .errors import ModelFormatError, ValidationError
+from .fields import Fields, read_json
+from .losses import ParameterDomain, loss_names, make_loss
 from .tree import RegressionTree
 
 FORMAT_VERSION = 1
@@ -23,22 +24,15 @@ _PARAM_KEYS = {"name", "base_value", "domain", "trees"}
 _TREE_KEYS = {"eta", "nodes"}
 _SPLIT_KEYS = {"kind", "feature", "threshold", "left", "right"}
 _LEAF_KEYS = {"kind", "weight"}
+_DOMAIN_KEYS = {"lo", "hi"}
 
 
 def _tree_to_nodes(tree: RegressionTree):
-    nodes = []
-    for i in range(tree.n_nodes):
-        if tree.feature[i] < 0:
-            nodes.append({"kind": "leaf", "weight": float(tree.weight[i])})
-        else:
-            nodes.append({
-                "kind": "split",
-                "feature": int(tree.feature[i]),
-                "threshold": float(tree.threshold[i]),
-                "left": int(tree.left[i]),
-                "right": int(tree.right[i]),
-            })
-    return nodes
+    return [{"kind": "leaf", "weight": float(w)} if f < 0 else
+            {"kind": "split", "feature": int(f), "threshold": float(t),
+             "left": int(left), "right": int(right)}
+            for f, t, left, right, w in zip(tree.feature, tree.threshold, tree.left,
+                                            tree.right, tree.weight)]
 
 
 def model_to_dict(model: BoostedModel):
@@ -69,43 +63,25 @@ def save(model: BoostedModel, path):
         fh.write(dumps(model))
 
 
-def _expect_keys(obj, allowed, where):
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ModelFormatError(f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
-    missing = allowed - set(obj)
-    if missing:
-        raise ModelFormatError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
-
-
 def _nodes_to_tree(nodes, n_features, where):
-    if not isinstance(nodes, list) or not nodes:
+    if not nodes:
         raise ModelFormatError(f"{where}: nodes must be a nonempty array")
-    feature, threshold, left, right, weight = [], [], [], [], []
+    rows = []  # (feature, threshold, left, right, weight) per node
     for k, node in enumerate(nodes):
-        kind = node.get("kind") if isinstance(node, dict) else None
-        if kind == "split":
-            _expect_keys(node, _SPLIT_KEYS, f"{where}.nodes[{k}]")
-            feature.append(int(node["feature"]))
-            threshold.append(float(node["threshold"]))
-            left.append(int(node["left"]))
-            right.append(int(node["right"]))
-            weight.append(0.0)
-        elif kind == "leaf":
-            _expect_keys(node, _LEAF_KEYS, f"{where}.nodes[{k}]")
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            weight.append(float(node["weight"]))
+        at = f"{where}.nodes[{k}]"
+        if node.get("kind") == "split":
+            f = Fields(node, at, ModelFormatError, _SPLIT_KEYS, _SPLIT_KEYS)
+            rows.append((f.get("feature", "integer"), f.get("threshold", "number"),
+                         f.get("left", "integer"), f.get("right", "integer"), 0.0))
+        elif node.get("kind") == "leaf":
+            f = Fields(node, at, ModelFormatError, _LEAF_KEYS, _LEAF_KEYS)
+            rows.append((-1, 0.0, -1, -1, f.get("weight", "number")))
         else:
-            raise ModelFormatError(f"{where}.nodes[{k}]: kind must be 'split' or 'leaf'")
-    tree = RegressionTree(feature, threshold, left, right, weight)
+            raise ModelFormatError(f"{at}: kind must be 'split' or 'leaf'")
     try:
+        tree = RegressionTree(*zip(*rows))
         tree.validate_structure(n_features)
-    except Exception as exc:
+    except (ValidationError, OverflowError) as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
     return tree
 
@@ -117,50 +93,43 @@ def model_from_dict(doc):
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}")
-    _expect_keys(doc, _TOP_KEYS, "model")
-    if doc["loss_name"] not in loss_names():
-        raise ModelFormatError(f"unknown loss_name '{doc['loss_name']}'")
-    feature_names = [str(c) for c in doc["feature_names"]]
+    f = Fields(doc, "model", ModelFormatError, _TOP_KEYS, _TOP_KEYS)
+    loss_name = f.get("loss_name", "string")
+    if loss_name not in loss_names():
+        raise ModelFormatError(f"unknown loss_name '{loss_name}'")
+    try:
+        loss = make_loss(loss_name, f.get("nuisance", "object"))
+    except ValidationError as exc:
+        raise ModelFormatError(f"model.nuisance: {exc}") from None
+    feature_names = f.items("feature_names", "string")
     if not feature_names:
         raise ModelFormatError("feature_names must be nonempty")
 
     params = []
-    for j, block in enumerate(doc["params"]):
+    for j, block in enumerate(f.items("params", "object")):
         where = f"params[{j}]"
-        _expect_keys(block, _PARAM_KEYS, where)
-        _expect_keys(block["domain"], {"lo", "hi"}, f"{where}.domain")
+        b = Fields(block, where, ModelFormatError, _PARAM_KEYS, _PARAM_KEYS)
+        d = Fields(b.get("domain", "object"), f"{where}.domain", ModelFormatError,
+                   _DOMAIN_KEYS, _DOMAIN_KEYS)
         try:
-            domain = ParameterDomain(float(block["domain"]["lo"]),
-                                     float(block["domain"]["hi"]))
-        except Exception as exc:
+            domain = ParameterDomain(d.get("lo", "number"), d.get("hi", "number"))
+        except ValidationError as exc:
             raise ModelFormatError(f"{where}.domain: {exc}") from None
         trees = []
-        for k, entry in enumerate(block["trees"]):
-            _expect_keys(entry, _TREE_KEYS, f"{where}.trees[{k}]")
-            trees.append((_nodes_to_tree(entry["nodes"], len(feature_names),
+        for k, entry in enumerate(b.items("trees", "object")):
+            t = Fields(entry, f"{where}.trees[{k}]", ModelFormatError, _TREE_KEYS, _TREE_KEYS)
+            trees.append((_nodes_to_tree(t.items("nodes", "object"), len(feature_names),
                                          f"{where}.trees[{k}]"),
-                          float(entry["eta"])))
-        params.append(ParamEnsemble(
-            name=str(block["name"]),
-            base_value=float(block["base_value"]),
-            domain=domain,
-            trees=trees,
-        ))
-    if not params:
-        raise ModelFormatError("model has no parameter blocks")
-
-    nuisance = doc["nuisance"]
-    if not isinstance(nuisance, dict):
-        raise ModelFormatError("nuisance must be an object")
-    return BoostedModel(doc["loss_name"], {k: float(v) for k, v in nuisance.items()},
-                        feature_names, params)
+                          t.get("eta", "number")))
+        params.append(ParamEnsemble(b.get("name", "string"), b.get("base_value", "number"),
+                                    domain, trees))
+    names = tuple(p.name for p in params)
+    if names != loss.param_names:
+        raise ModelFormatError(
+            f"loss '{loss_name}' has parameter(s) {', '.join(loss.param_names)} "
+            f"but the model has {', '.join(names) or 'none'}")
+    return BoostedModel(loss_name, loss.nuisance, feature_names, params)
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model file", ModelFormatError))

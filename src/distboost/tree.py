@@ -12,6 +12,7 @@ The tree layer is clipping-agnostic: callers hand it g and h_eff arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -82,19 +83,35 @@ class RegressionTree:
 
     Stored as parallel node arrays; feature[i] == -1 marks a leaf.  Routing
     is "left iff x[feature] < threshold": a sample exactly at the threshold
-    goes right.
+    goes right.  `RegressionTree.stack` packs several trees into one set of
+    node arrays with one root per tree, which predicts one row per tree.
     """
 
-    def __init__(self, feature, threshold, left, right, weight):
+    root = 0
+
+    def __init__(self, feature, threshold, left, right, weight, roots=0):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.weight = np.asarray(weight, dtype=np.float64)
-        for arr in (self.feature, self.threshold, self.left, self.right, self.weight):
+        self.roots = np.asarray(roots, dtype=np.intp)
+        for arr in (self.feature, self.threshold, self.left, self.right, self.weight,
+                    self.roots):
             arr.setflags(write=False)
 
-    root = 0
+    @classmethod
+    def stack(cls, trees, scales):
+        """Pack trees into one set of node arrays, one root per tree in order.
+
+        Tree t's leaf weights are multiplied by scales[t].
+        """
+        roots = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
+        return cls(*(np.concatenate(parts) for parts in (
+            [t.feature for t in trees], [t.threshold for t in trees],
+            [np.where(t.left >= 0, t.left + r, -1) for t, r in zip(trees, roots)],
+            [np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)],
+            [t.weight * s for t, s in zip(trees, scales)])), roots)
 
     @property
     def n_nodes(self):
@@ -104,61 +121,76 @@ class RegressionTree:
     def n_leaves(self):
         return int(np.sum(self.feature < 0))
 
+    @functools.cached_property
+    def depth(self):
+        """Level of the deepest leaf below its root (0 for a lone leaf).
+
+        The level walk from the roots raises ValidationError unless it meets
+        every node exactly once, as it does in proper binary trees.
+        """
+        n, split = self.n_nodes, self.feature >= 0
+        level, depth, reached = self.roots.reshape(-1), 0, 0
+        while True:
+            if np.any((level < 0) | (level >= n)):
+                raise ValidationError("node id out of range")
+            reached += level.size
+            if reached > n:
+                raise ValidationError("a node is reached twice (cycle or shared child)")
+            level = level[split[level]]
+            if not level.size:
+                break
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+        if reached < n:
+            raise ValidationError("unreachable nodes in tree")
+        return depth
+
+    @functools.cached_property
+    def _router(self):
+        """Node arrays in router form: a row at node i steps to
+        child[2 i + (x[feature[i]] < threshold[i])], and a leaf is its own
+        child, so `depth` steps take every row from its root to its leaf."""
+        leaf = self.feature < 0
+        ids = np.arange(self.n_nodes, dtype=np.intp)
+        child = np.column_stack([np.where(leaf, ids, self.right),
+                                 np.where(leaf, ids, self.left)]).reshape(-1)
+        feat = np.where(leaf, 0, self.feature).astype(np.intp)
+        return feat, child, int(feat.max(initial=-1)) + 1
+
+    def _leaves(self, X):
+        """Leaf node of every row in every tree: shape roots.shape + (rows,)."""
+        feat, child, width = self._router
+        n, m = X.shape
+        if m < width:
+            raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
+        flat = np.ascontiguousarray(X).reshape(-1)
+        row_start = np.arange(0, n * m, m)
+        node = np.broadcast_to(self.roots[..., None], self.roots.shape + (n,))
+        for _ in range(self.depth):
+            goes_left = flat.take(row_start + feat.take(node)) < self.threshold.take(node)
+            node = child.take(2 * node + goes_left)
+        return node
+
     def predict(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        nid = self.root
-        while self.feature[nid] >= 0:
-            if x[self.feature[nid]] < self.threshold[nid]:
-                nid = self.left[nid]
-            else:
-                nid = self.right[nid]
-        return float(self.weight[nid])
+        """Leaf weight of one row: a float, or one per tree for a stack."""
+        w = self.weight[self._leaves(np.asarray(x, dtype=np.float64).reshape(1, -1))[..., 0]]
+        return float(w) if w.ndim == 0 else w
 
     def predict_many(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            nid, rows = stack.pop()
-            f = self.feature[nid]
-            if f < 0:
-                out[rows] = self.weight[nid]
-            else:
-                goes_left = X[rows, f] < self.threshold[nid]
-                stack.append((int(self.left[nid]), rows[goes_left]))
-                stack.append((int(self.right[nid]), rows[~goes_left]))
-        return out
+        return self.weight[self._leaves(np.asarray(X, dtype=np.float64))]
 
     def validate_structure(self, n_features):
         """Reject node graphs that are not a proper binary tree."""
-        n = self.n_nodes
-        if n < 1:
+        if self.n_nodes < 1:
             raise ValidationError("tree has no nodes")
-        seen = np.zeros(n, dtype=bool)
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            if nid < 0 or nid >= n:
-                raise ValidationError(f"node id {nid} out of range")
-            if seen[nid]:
-                raise ValidationError(f"node {nid} reached twice (cycle or shared child)")
-            seen[nid] = True
-            f = int(self.feature[nid])
-            if f >= 0:
-                if f >= n_features:
-                    raise ValidationError(f"node {nid} splits on unknown feature {f}")
-                if not math.isfinite(self.threshold[nid]):
-                    raise ValidationError(f"node {nid} has non-finite threshold")
-                stack.append(int(self.left[nid]))
-                stack.append(int(self.right[nid]))
-            elif not math.isfinite(self.weight[nid]):
-                raise ValidationError(f"leaf {nid} has non-finite weight")
-        if not seen.all():
-            raise ValidationError("unreachable nodes in tree")
-
-
-def predict_tree(tree: RegressionTree, x):
-    return tree.predict(x)
+        self.depth  # the level walk raises on a malformed node graph
+        split = self.feature >= 0
+        for bad, what in (
+                (split & (self.feature >= n_features), "splits on unknown feature"),
+                (split & ~np.isfinite(self.threshold), "has non-finite threshold"),
+                (~split & ~np.isfinite(self.weight), "is a leaf with non-finite weight")):
+            if bad.any():
+                raise ValidationError(f"node {np.flatnonzero(bad)[0]} {what}")
 
 
 def presort_features(X):

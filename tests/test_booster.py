@@ -336,3 +336,49 @@ def test_predict_rejects_arity_mismatch():
         db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0), [])])
     with pytest.raises(ValidationError, match="expected 2 features"):
         model.predict([1.0])
+
+
+def test_statistic_adjustments_are_elementwise():
+    g = np.array([250.0, -50.0, -250.0, np.inf, -np.inf, np.nan])
+    assert np.array_equal(db.clip_gradient(g, 100.0),
+                          [db.clip_gradient(v, 100.0) for v in g])
+    h = np.array([-0.01, 2.0, np.nan, np.inf, 0.0])
+    assert np.array_equal(db.effective_hessian(h), [db.effective_hessian(v) for v in h])
+    dom = db.ParameterDomain(0.01, 1000.0)
+    t = np.array([1200.0, 5.0, -3.0])
+    assert np.array_equal(db.clamp_to_domain(t, dom), [db.clamp_to_domain(v, dom) for v in t])
+    assert type(db.clip_gradient(1.0, 2.0)) is float
+
+
+def _assert_batch_matches_quotes(model, seed):
+    from distboost import booster
+    # enough rows for predict_many to route them in at least three chunks
+    trees = min(len(p.trees) for p in model.params)
+    X = np.random.default_rng(seed).random((3 * booster._ROUTE_BUDGET // (trees + 1) + 17,
+                                            len(model.feature_names)))
+    many = model.predict_many(X)
+    each = np.array([model.predict(x) for x in X])
+    assert many.tobytes() == each.tobytes()
+    return many
+
+
+def test_predict_many_matches_predict_bitwise_with_clamping():
+    ds = db.generate_synthetic("gamma", 500, 3,
+                               lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 6.0),
+                                          "alpha": 5.0})
+    cfg = db.ParamTrainConfig(eta=0.5, tree=db.TreeParams(max_depth=3),
+                              domain=db.ParameterDomain(3.5, 5.5))
+    model = db.train(ds, db.gamma_nll(5.0), [cfg], 40).model
+    many = _assert_batch_matches_quotes(model, 4)
+    assert np.any(many == 3.5) and np.any(many == 5.5)
+
+
+def test_predict_many_matches_predict_bitwise_with_single_leaf_trees():
+    ds = db.generate_synthetic("negbin", 300, 5, lambda X: {"beta": 1.0, "gamma": 2.0})
+    # beta never splits (min_leaf_samples above half the rows); gamma does
+    cfgs = [db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=2, min_leaf_samples=200)),
+            db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=2))]
+    model = db.train(ds, db.negbin_nll(), cfgs, 30).model
+    assert all(t.n_nodes == 1 for t, _ in model.params[0].trees)
+    assert any(t.n_nodes > 1 for t, _ in model.params[1].trees)
+    _assert_batch_matches_quotes(model, 6)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import distboost as db
 from distboost.cli import main
@@ -43,7 +45,8 @@ def test_train_eval_predict_pipeline(tmp_path, capsys):
     assert "final_train_nll=" in out
 
     trace_lines = open(trace).read().splitlines()
-    assert trace_lines[0] == "round,active_mu,train_nll"
+    assert trace_lines[0] == ("round,active_mu,train_nll,"
+                              "max_abs_grad_mu,clamped_rows_mu")
     assert len(trace_lines) - 1 == 25
 
     assert main(["eval", "--model", model, "--data", data]) == 0
@@ -200,3 +203,210 @@ def test_repo_example_configs_parse(tmp_path):
         doc = json.loads((root / name).read_text())
         config = parse_run_config(doc)
         assert config.total_rounds > 0
+
+
+# ---------------------------------------------------------------------------
+# malformed documents exit 2 with a message
+
+def _run(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"params": [{"eta": "fast"}]}, "config.params[0].eta"),
+    ({"params": [None]}, "config.params[0]"),
+    ({"loss": {"name": "gamma", "nuisance": {"alpha": "x"}}}, "alpha"),
+    ({"total_rounds": 3.7}, "config.total_rounds"),
+    ({"total_rounds": True}, "config.total_rounds"),
+    ({"params": [{"max_depth": "3"}]}, "config.params[0].max_depth"),
+    ({"params": [{"domain": [1.0, "x"]}]}, "config.params[0].domain[1]"),
+    ({"seed": -1, "holdout_fraction": 0.2}, "seed"),
+])
+def test_malformed_config_fields_exit_2(tmp_path, capsys, overrides, field):
+    data = _gamma_csv(tmp_path, n=60)
+    config = _gamma_config(tmp_path, **overrides)
+    code, err = _run(["train", "--data", data, "--config", config,
+                      "--out", str(tmp_path / "m.json")], capsys)
+    assert code == 2
+    assert field in err
+
+
+def _trained_gamma_model(tmp_path, capsys, **overrides):
+    data = _gamma_csv(tmp_path, n=60)
+    config = _gamma_config(tmp_path, total_rounds=3, **overrides)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--config", config, "--out", model]) == 0
+    capsys.readouterr()
+    return data, json.loads(open(model).read())
+
+
+def test_malformed_model_fields_exit_2(tmp_path, capsys):
+    data, doc = _trained_gamma_model(tmp_path, capsys)
+    split = next(n for n in doc["params"][0]["trees"][0]["nodes"] if n["kind"] == "split")
+    split["feature"] = "a"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(["predict", "--model", str(bad), "--data", data,
+                      "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 2 and "feature" in err
+
+    doc["params"] = 5
+    bad.write_text(json.dumps(doc))
+    code, err = _run(["eval", "--model", str(bad), "--data", data], capsys)
+    assert code == 2 and "model.params" in err
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6))
+_NON_NUMBERS = st.none() | st.booleans() | st.text(max_size=6)
+
+
+def _json(leaves):
+    return st.recursive(
+        leaves, lambda inner: (st.lists(inner, max_size=3)
+                               | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=8)
+
+
+def _replace(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _assert_clean_exit(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+
+
+# total_rounds and trace_path stay fixed: a huge round count or a stray
+# output path would only make the run slow or write outside the test's
+# directory.  Numbers are left out of the replacements, since the range
+# checks of numeric fields are tested elsewhere.
+_CONFIG_PATHS = ([("loss",), ("loss", "name"), ("loss", "nuisance"),
+                  ("loss", "nuisance", "alpha"), ("params",), ("params", 0)]
+                 + [(k,) for k in ("response_col", "exposure_col", "adjustment_col",
+                                   "seed", "holdout_fraction")]
+                 + [("params", 0, k) for k in ("name", "eta", "rounds", "clip_m", "a",
+                                               "gamma_reg", "lambda_reg", "max_depth",
+                                               "min_leaf_samples", "interval", "offset",
+                                               "domain", "base_value")])
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_json(_SCALARS) | st.tuples(st.sampled_from(_CONFIG_PATHS), _json(_NON_NUMBERS)))
+def test_arbitrary_json_config_never_escapes(tmp_path, capsys, doc):
+    data = str(tmp_path / "data.csv")
+    if not (tmp_path / "data.csv").exists():
+        _gamma_csv(tmp_path, n=40)
+    if isinstance(doc, tuple):
+        path, value = doc
+        doc = _replace({"loss": {"name": "gamma", "nuisance": {"alpha": 5.0}},
+                        "total_rounds": 2, "params": [{"eta": 0.1}]}, path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    _assert_clean_exit(["train", "--data", data, "--config", str(config),
+                        "--out", str(tmp_path / "m.json")], capsys)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_json(_SCALARS) | st.tuples(st.integers(0, 10 ** 6), _json(_SCALARS)))
+def test_arbitrary_json_model_never_escapes(tmp_path, capsys, mutation):
+    data = str(tmp_path / "data.csv")
+    if not (tmp_path / "model.json").exists():
+        _gamma_csv(tmp_path, n=40)
+        config = _gamma_config(tmp_path, total_rounds=2)
+        assert main(["train", "--data", data, "--config", config,
+                     "--out", str(tmp_path / "model.json")]) == 0
+    valid = json.loads((tmp_path / "model.json").read_text())
+    if isinstance(mutation, tuple):
+        paths = list(_key_paths(valid))
+        pick, value = mutation
+        doc = _replace(valid, paths[pick % len(paths)], value)
+    else:
+        doc = mutation
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    _assert_clean_exit(["predict", "--model", str(bad), "--data", data,
+                        "--out", str(tmp_path / "p.csv")], capsys)
+
+
+def _key_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# ---------------------------------------------------------------------------
+# trace columns
+
+def _read_trace(path):
+    lines = open(path).read().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_trace_reports_gradients_and_clamping(tmp_path, capsys):
+    data = _gamma_csv(tmp_path)
+    config = _gamma_config(tmp_path, params=[{"eta": 0.5, "lambda_reg": 1.0,
+                                              "clip_m": 50.0, "domain": [3.5, 5.5]}])
+    trace = str(tmp_path / "trace.csv")
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "m.json"), "--trace", trace]) == 0
+    rows = _read_trace(trace)
+    assert len(rows) == 25
+    grads = [float(r["max_abs_grad_mu"]) for r in rows]
+    assert all(0.0 < g <= 50.0 for g in grads)
+    clamped = [int(r["clamped_rows_mu"]) for r in rows]
+    assert sum(clamped) > 0
+
+
+def test_trace_cells_empty_for_inactive_parameter(tmp_path, capsys):
+    ds = db.generate_synthetic("negbin", 300, 4, lambda X: {"beta": 1.0, "gamma": 2.0})
+    data = str(tmp_path / "nb.csv")
+    db.write_csv(ds, data)
+    config = str(tmp_path / "nb.json")
+    with open(config, "w") as fh:
+        json.dump({"loss": {"name": "negbin"}, "total_rounds": 4,
+                   "params": [{"max_depth": 2}, {"max_depth": 2, "interval": 2}]}, fh)
+    trace = str(tmp_path / "trace.csv")
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "m.json"), "--trace", trace]) == 0
+    rows = _read_trace(trace)
+    assert [r["active_gamma"] for r in rows] == ["1", "0", "1", "0"]
+    for r in rows:
+        assert r["max_abs_grad_beta"] != "" and r["clamped_rows_beta"] != ""
+        inactive = r["active_gamma"] == "0"
+        assert (r["max_abs_grad_gamma"] == "") == inactive
+        assert (r["clamped_rows_gamma"] == "") == inactive
+
+
+# ---------------------------------------------------------------------------
+# shipped configs
+
+def test_shipped_negbin_gen_params_feed_shipped_config(tmp_path, capsys):
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    data = str(tmp_path / "nb.csv")
+    assert main(["gen", "--dist", "negbin", "--n", "4000", "--seed", "3",
+                 "--params", str(root / "negbin_gen_params.json"), "--out", data]) == 0
+    doc = json.loads((root / "negbin_exposure.json").read_text())
+    doc["total_rounds"] = 2
+    config = tmp_path / "negbin_exposure.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--data", data, "--config", str(config),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert "holdout_nll=" in capsys.readouterr().out

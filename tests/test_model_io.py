@@ -147,3 +147,28 @@ def test_every_float_survives_text_round_trip(tmp_path):
             assert np.array_equal(t1.threshold, t2.threshold)
             assert np.array_equal(t1.weight, t2.weight)
             assert np.array_equal(t1.feature, t2.feature)
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_param_blocks_must_match_the_loss(tmp_path):
+    doc = model_io.model_to_dict(_trained_model(n_params=2))
+    one_block = dict(doc, params=doc["params"][:1])
+    with pytest.raises(ModelFormatError, match="beta, gamma"):
+        db.load(_write(tmp_path, one_block))
+    swapped = dict(doc, params=doc["params"][::-1])
+    with pytest.raises(ModelFormatError, match="beta, gamma"):
+        db.load(_write(tmp_path, swapped))
+
+
+@pytest.mark.parametrize("nuisance", [{}, {"alpha": -1.0}, {"alpha": "x"},
+                                      {"alpha": 5.0, "beta": 1.0}, [5.0]])
+def test_nuisance_must_build_the_loss(tmp_path, nuisance):
+    doc = model_io.model_to_dict(_trained_model())
+    doc["nuisance"] = nuisance
+    with pytest.raises(ModelFormatError, match="nuisance"):
+        db.load(_write(tmp_path, doc))

@@ -315,3 +315,26 @@ def test_presort_reuse_gives_identical_tree():
     assert np.array_equal(t1.feature, t2.feature)
     assert np.array_equal(t1.threshold, t2.threshold)
     assert np.array_equal(t1.weight, t2.weight)
+
+
+def test_stack_predicts_each_tree_scaled():
+    rng = np.random.default_rng(31)
+    X = rng.random((200, 3))
+    trees = [db.build_tree(X, rng.normal(size=200), np.ones(200),
+                           db.TreeParams(max_depth=d)) for d in (1, 3, 2)]
+    trees.append(db.RegressionTree([-1], [0.0], [-1], [-1], [0.25]))
+    scales = [0.5, 0.1, 1.0, 3.0]
+    stack = db.RegressionTree.stack(trees, scales)
+    assert stack.depth == max(t.depth for t in trees) == 3
+    Q = rng.random((50, 3))
+    expected = np.array([s * t.predict_many(Q) for t, s in zip(trees, scales)])
+    assert np.array_equal(stack.predict_many(Q), expected)
+    assert np.array_equal(stack.predict(Q[7]), expected[:, 7])
+
+
+def test_predict_rejects_narrow_input():
+    X = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+    tree = db.build_tree(X, np.array([-1.0, 0.0, 1.0]), np.ones(3), db.TreeParams())
+    assert tree.feature[tree.root] == 1
+    with pytest.raises(ValidationError, match="feature 1"):
+        tree.predict_many(X[:, :1])
