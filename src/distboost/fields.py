@@ -23,9 +23,9 @@ _KINDS = {
                lambda v: _is_number(v) and abs(v) <= sys.float_info.max, float),
     "integer": ("an integer",
                 lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int),
-    "string": ("a string", lambda v: isinstance(v, str), str),
-    "array": ("an array", lambda v: isinstance(v, list), list),
-    "object": ("an object", lambda v: isinstance(v, dict), dict),
+    "string": ("a string", lambda v: isinstance(v, str), None),
+    "array": ("an array", lambda v: isinstance(v, list), None),
+    "object": ("an object", lambda v: isinstance(v, dict), None),
 }
 
 
@@ -34,7 +34,7 @@ def typed(value, kind, where, error):
     what, test, convert = _KINDS[kind]
     if not test(value):
         raise error(f"{where}: expected {what}, got {value!r:.40}")
-    return convert(value)
+    return value if convert is None else convert(value)
 
 
 def parse_json(text, what, error):
@@ -52,14 +52,15 @@ def read_json(path, what, error):
 class Fields:
     """One JSON object; keys outside `allowed` or missing from `required` are errors."""
 
-    def __init__(self, obj, where, error, allowed, required=()):
+    def __init__(self, obj, where, error, allowed, required=frozenset()):
         self.obj = typed(obj, "object", where, error)
         self.where = where
         self.error = error
-        for problem, keys in (("unknown", set(self.obj) - set(allowed)),
-                              ("missing", set(required) - set(self.obj))):
-            if keys:
-                raise error(f"{where}: {problem} key(s): {', '.join(sorted(keys))}")
+        keys = self.obj.keys()
+        if not allowed >= keys >= required:
+            for problem, bad in (("unknown", keys - allowed), ("missing", required - keys)):
+                if bad:
+                    raise error(f"{where}: {problem} key(s): {', '.join(sorted(bad))}")
 
     def get(self, key, kind, default=_MISSING):
         """The value at key as kind; without a default the key is required.

@@ -13,7 +13,7 @@ import json
 
 from .booster import BoostedModel, ParamEnsemble
 from .errors import ModelFormatError, ValidationError
-from .fields import Fields, read_json
+from .fields import Fields, read_json, typed
 from .losses import ParameterDomain, loss_names, make_loss
 from .tree import RegressionTree
 
@@ -87,9 +87,7 @@ def _nodes_to_tree(nodes, n_features, where):
 
 
 def model_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    version = doc.get("format_version")
+    version = typed(doc, "object", "model", ModelFormatError).get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}")

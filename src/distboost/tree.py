@@ -129,10 +129,11 @@ class RegressionTree:
         every node exactly once, as it does in proper binary trees.
         """
         n, split = self.n_nodes, self.feature >= 0
+        ids = np.concatenate([self.roots.reshape(-1), self.left[split], self.right[split]])
+        if np.any((ids < 0) | (ids >= n)):
+            raise ValidationError("node id out of range")
         level, depth, reached = self.roots.reshape(-1), 0, 0
         while True:
-            if np.any((level < 0) | (level >= n)):
-                raise ValidationError("node id out of range")
             reached += level.size
             if reached > n:
                 raise ValidationError("a node is reached twice (cycle or shared child)")
@@ -181,8 +182,6 @@ class RegressionTree:
 
     def validate_structure(self, n_features):
         """Reject node graphs that are not a proper binary tree."""
-        if self.n_nodes < 1:
-            raise ValidationError("tree has no nodes")
         self.depth  # the level walk raises on a malformed node graph
         split = self.feature >= 0
         for bad, what in (
