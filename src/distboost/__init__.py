@@ -29,6 +29,7 @@ from .dataset import (
     read_table,
     split_holdout,
     write_csv,
+    write_table,
 )
 from .errors import (
     DataError,

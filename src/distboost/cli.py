@@ -112,15 +112,11 @@ def _write_trace(path, loss, trace):
     names = loss.param_names
     cols = (["round"] + [f"active_{p}" for p in names] + ["train_nll"]
             + [f"max_abs_grad_{p}" for p in names] + [f"clamped_rows_{p}" for p in names])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in trace:
-            cells = [str(rec.round)]
-            cells += ["1" if f else "0" for f in rec.active]
-            cells.append(repr(rec.train_nll))
-            cells += [repr(g) if f else "" for f, g in zip(rec.active, rec.max_abs_grad)]
-            cells += [str(c) if f else "" for f, c in zip(rec.active, rec.clamped_rows)]
-            fh.write(",".join(cells) + "\n")
+    dataset.write_table(path, cols, (
+        [rec.round, *map(int, rec.active), rec.train_nll,
+         *(g if f else "" for f, g in zip(rec.active, rec.max_abs_grad)),
+         *(c if f else "" for f, c in zip(rec.active, rec.clamped_rows))]
+        for rec in trace))
 
 
 def cmd_train(args):
@@ -155,17 +151,10 @@ def cmd_train(args):
 def cmd_predict(args):
     model = model_io.load(args.model)
     header, table = dataset.read_table(args.data)
-    missing = [c for c in model.feature_names if c not in header]
-    if missing:
-        raise ValidationError(
-            f"{args.data}: missing feature column(s): {', '.join(missing)}; "
-            f"model expects: {', '.join(model.feature_names)}")
-    X = table[:, [header.index(c) for c in model.feature_names]]
+    X = table[:, dataset.bind_columns(args.data, header,
+                                      [("feature", c) for c in model.feature_names])]
     preds = model.predict_many(X)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(model.param_names) + "\n")
-        for i in range(preds.shape[0]):
-            fh.write(",".join(repr(float(v)) for v in preds[i]) + "\n")
+    dataset.write_table(args.out, model.param_names, preds.tolist())
     print(f"wrote {preds.shape[0]} prediction rows to {args.out}")
     return 0
 
@@ -173,8 +162,8 @@ def cmd_predict(args):
 def cmd_eval(args):
     model = model_io.load(args.model)
     loss = losses.make_loss(model.loss_name, model.nuisance)
-    ds = dataset.load_csv(args.data, args.response_col,
-                          args.exposure_col, args.adjustment_col)
+    ds = dataset.load_csv(args.data, args.response_col, args.exposure_col,
+                          args.adjustment_col, model.feature_names)
     report = evaluate.nll_score(model, loss, ds, model_id=args.model)
     for line in report.lines():
         print(line)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import DataError, ValidationError
+from .fields import typed, typed_items
 
 SYNTHETIC_DISTRIBUTIONS = ("gamma", "zip", "negbin")
 
@@ -166,37 +167,50 @@ def read_table(path):
     return header, np.asarray(rows, dtype=np.float64)
 
 
-def load_csv(path, response_col, exposure_col=None, adjustment_col=None):
+def bind_columns(path, header, columns):
+    """Header index of each (role, name) pair; DataError names a missing one."""
+    index = {c: j for j, c in enumerate(header)}
+    for role, name in columns:
+        if name not in index:
+            raise DataError(f"{path}: missing {role} column '{name}'; "
+                            f"expected: {', '.join(n for _, n in columns)}")
+    return [index[name] for _, name in columns]
+
+
+def load_csv(path, response_col, exposure_col=None, adjustment_col=None,
+             feature_names=None):
     """Load a Dataset from a headered CSV file.
 
-    Columns not named as response/exposure/adjustment become features, in
-    header order.  Missing exposure/adjustment bindings yield all-ones
-    vectors.
+    feature_names binds features by name, ignoring other columns; by default
+    the columns not bound as response/exposure/adjustment are the features,
+    in header order.  Missing exposure/adjustment bindings yield all-ones.
     """
     if response_col is None:
         raise DataError("response_col is required")
     header, table = read_table(path)
 
-    special = {}
-    for role, name in (("response", response_col), ("exposure", exposure_col),
-                       ("adjustment", adjustment_col)):
-        if name is None:
-            continue
-        if name not in header:
-            raise DataError(f"{path}: missing {role} column '{name}'")
-        special[role] = header.index(name)
-    feature_idx = [j for j in range(len(header)) if j not in special.values()]
-    if not feature_idx:
-        raise DataError(f"{path}: no feature columns left after binding named columns")
+    bound = {role: name for role, name in (("response", response_col), ("exposure", exposure_col),
+                                           ("adjustment", adjustment_col)) if name is not None}
+    cols = dict(zip(bound, table.T[bind_columns(path, header, list(bound.items()))]))
+    if feature_names is None:
+        feature_names = [c for c in header if c not in bound.values()]
+        if not feature_names:
+            raise DataError(f"{path}: no feature columns left after binding named columns")
+    names = [*bound.values(), *feature_names]
+    if len(set(names)) != len(names):
+        twice = next(c for c in names if names.count(c) > 1)
+        raise DataError(f"{path}: column '{twice}' is bound twice")
+    return Dataset(table[:, bind_columns(path, header, [("feature", c) for c in feature_names])],
+                   cols["response"], cols.get("exposure"), cols.get("adjustment"),
+                   feature_names, source=str(path))
 
-    return Dataset(
-        table[:, feature_idx],
-        table[:, special["response"]],
-        table[:, special["exposure"]] if "exposure" in special else None,
-        table[:, special["adjustment"]] if "adjustment" in special else None,
-        [header[j] for j in feature_idx],
-        source=str(path),
-    )
+
+def write_table(path, header, rows):
+    """Write the header, then one line per row of str() cells: for Python floats
+    (e.g. from ndarray.tolist()) the shortest decimal that reads back exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_csv(ds, path, response_col="y", exposure_col=None, adjustment_col=None):
@@ -206,27 +220,18 @@ def write_csv(ds, path, response_col="y", exposure_col=None, adjustment_col=None
     automatically (as "exposure"/"adjustment") when the vector is not all
     ones; otherwise they are omitted.
     """
-    cols = list(ds.feature_names)
-    arrays = [ds.features[:, j] for j in range(ds.n_features)]
-    cols.append(response_col)
-    arrays.append(ds.response)
-    if exposure_col is None and not np.all(ds.exposure == 1.0):
-        exposure_col = "exposure"
-    if exposure_col is not None:
-        cols.append(exposure_col)
-        arrays.append(ds.exposure)
-    if adjustment_col is None and not np.all(ds.adjustment == 1.0):
-        adjustment_col = "adjustment"
-    if adjustment_col is not None:
-        cols.append(adjustment_col)
-        arrays.append(ds.adjustment)
+    cols = [*ds.feature_names, response_col]
+    arrays = [ds.features, ds.response]
+    for name, default, values in ((exposure_col, "exposure", ds.exposure),
+                                  (adjustment_col, "adjustment", ds.adjustment)):
+        if name is None and not np.all(values == 1.0):
+            name = default
+        if name is not None:
+            cols.append(name)
+            arrays.append(values)
     if len(set(cols)) != len(cols):
         raise ValidationError("column name collision when writing CSV")
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(ds.n_rows):
-            fh.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
+    write_table(path, cols, np.column_stack(arrays).tolist())
 
 
 class PiecewiseParamMap:
@@ -239,13 +244,17 @@ class PiecewiseParamMap:
     """
 
     def __init__(self, cuts, cells):
+        cuts = typed_items(cuts, "array", "cuts", ValidationError)
         if len(cuts) != 2:
             raise ValidationError("cuts must list cut points for exactly 2 features")
-        self.cuts = tuple(np.asarray(c, dtype=np.float64) for c in cuts)
+        self.cuts = tuple(np.asarray(typed_items(c, "number", f"cuts[{i}]", ValidationError))
+                          for i, c in enumerate(cuts))
         for c in self.cuts:
             if c.size and not np.all(np.diff(c) > 0):
                 raise ValidationError("cut points must be strictly increasing")
         n1, n2 = len(self.cuts[0]) + 1, len(self.cuts[1]) + 1
+        cells = [typed_items(row, "object", f"cells[{i}]", ValidationError)
+                 for i, row in enumerate(typed_items(cells, "array", "cells", ValidationError))]
         if len(cells) != n1 or any(len(row) != n2 for row in cells):
             raise ValidationError(f"cells must form a {n1}x{n2} grid")
         keys = set(cells[0][0])
@@ -255,7 +264,8 @@ class PiecewiseParamMap:
                     raise ValidationError("all cells must define the same parameter keys")
         self.keys = tuple(sorted(keys))
         self._tables = {
-            k: np.asarray([[float(cell[k]) for cell in row] for row in cells])
+            k: np.asarray([[typed(cell[k], "number", f"cells[{i}][{j}].{k}", ValidationError)
+                            for j, cell in enumerate(row)] for i, row in enumerate(cells)])
             for k in self.keys
         }
 

@@ -47,6 +47,9 @@ def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):
             f"loss '{loss.name}' does not match model loss '{model.loss_name}'")
     if loss.nuisance != model.nuisance:
         raise ValidationError("loss nuisance constants do not match the model's")
+    if ds.feature_names != model.feature_names:
+        raise ValidationError(f"dataset features ({', '.join(ds.feature_names)}) do not "
+                              f"match the model's ({', '.join(model.feature_names)})")
     loss.validate_response(ds.response)
     theta = model.predict_many(ds.features)
     values = np.asarray(loss.value([theta[:, j] for j in range(model.n_params)],

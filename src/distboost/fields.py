@@ -37,6 +37,12 @@ def typed(value, kind, where, error):
     return value if convert is None else convert(value)
 
 
+def typed_items(values, kind, where, error):
+    """values as an array with each element read as kind."""
+    return [typed(v, kind, f"{where}[{i}]", error)
+            for i, v in enumerate(typed(values, "array", where, error))]
+
+
 def parse_json(text, what, error):
     try:
         return json.loads(text)
@@ -77,5 +83,5 @@ class Fields:
     def items(self, key, kind, default=_MISSING):
         """The array at key with each element read as kind; defaults as in `get`."""
         values = self.get(key, "array", default)
-        return values if values is default else [
-            typed(v, kind, f"{self.where}.{key}[{i}]", self.error) for i, v in enumerate(values)]
+        return values if values is default else typed_items(
+            values, kind, f"{self.where}.{key}", self.error)

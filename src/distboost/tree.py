@@ -125,18 +125,21 @@ class RegressionTree:
     def depth(self):
         """Level of the deepest leaf below its root (0 for a lone leaf).
 
-        The level walk from the roots raises ValidationError unless it meets
-        every node exactly once, as it does in proper binary trees.
+        Raises ValidationError unless every node is listed exactly once among
+        the roots and the split children, as in proper binary trees; the
+        level walk from the roots then ends, and must meet every node.
         """
         n, split = self.n_nodes, self.feature >= 0
         ids = np.concatenate([self.roots.reshape(-1), self.left[split], self.right[split]])
         if np.any((ids < 0) | (ids >= n)):
             raise ValidationError("node id out of range")
+        listed = np.bincount(ids, minlength=n)
+        if np.any(listed > 1):
+            raise ValidationError(f"node {int(np.argmax(listed > 1))} is listed twice "
+                                  "(cycle or shared child)")
         level, depth, reached = self.roots.reshape(-1), 0, 0
         while True:
             reached += level.size
-            if reached > n:
-                raise ValidationError("a node is reached twice (cycle or shared child)")
             level = level[split[level]]
             if not level.size:
                 break

@@ -117,6 +117,41 @@ def test_predict_wrong_features_exit_2(tmp_path, capsys):
     assert "x1" in err and "x2" in err
 
 
+def test_eval_and_predict_bind_features_by_name(tmp_path, capsys):
+    data = _gamma_csv(tmp_path)
+    config = _gamma_config(tmp_path)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--config", config, "--out", model]) == 0
+    header, table = db.read_table(data)
+    assert header == ["x1", "x2", "y"]
+    shuffled = str(tmp_path / "shuffled.csv")
+    db.write_table(shuffled, ["x2", "policy_id", "y", "x1"],
+                   np.column_stack([table[:, 1], np.arange(len(table)) + 1.0,
+                                    table[:, 2], table[:, 0]]).tolist())
+
+    totals, preds = [], []
+    for path in (data, shuffled):
+        capsys.readouterr()
+        assert main(["eval", "--model", model, "--data", path]) == 0
+        totals.append(next(line for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("total_nll=")))
+        out = str(tmp_path / f"preds{len(preds)}.csv")
+        assert main(["predict", "--model", model, "--data", path, "--out", out]) == 0
+        preds.append(open(out, "rb").read())
+    assert totals[0] == totals[1]
+    assert preds[0] == preds[1]
+
+
+def test_eval_rejects_feature_bound_as_response(tmp_path, capsys):
+    data = _gamma_csv(tmp_path)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--config", _gamma_config(tmp_path),
+                 "--out", model]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--data", data, "--response-col", "x1"]) == 2
+    assert "'x1' is bound twice" in capsys.readouterr().err
+
+
 def test_gen_writes_expected_csv(tmp_path, capsys):
     params = str(tmp_path / "params.json")
     with open(params, "w") as fh:
@@ -138,6 +173,25 @@ def test_gen_writes_expected_csv(tmp_path, capsys):
     assert main(["gen", "--dist", "negbin", "--n", "200", "--seed", "7",
                  "--params", params, "--out", out2]) == 0
     assert open(out).read() == open(out2).read()
+
+
+_GEN_CELLS = [[{"mu": 1.0, "alpha": 2.0}, {"mu": 2.0, "alpha": 2.0}],
+              [{"mu": 3.0, "alpha": 2.0}, {"mu": 4.0, "alpha": 2.0}]]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"cuts": [[0.5], "x"], "cells": _GEN_CELLS}, "cuts[1]"),
+    ({"cuts": [[0.5], [0.5]],
+      "cells": [_GEN_CELLS[0], [{"mu": 3.0, "alpha": 2.0}, {"mu": "a", "alpha": 2.0}]]},
+     "cells[1][1].mu"),
+    ({"cuts": [[], []], "cells": [5]}, "cells[0]"),
+])
+def test_malformed_gen_params_exit_2(tmp_path, capsys, spec, field):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(spec))
+    code, err = _run(["gen", "--dist", "gamma", "--n", "10", "--seed", "1",
+                      "--params", str(params), "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2 and field in err
 
 
 def test_check_loss_pass_and_fail(capsys):
@@ -258,6 +312,19 @@ def test_malformed_model_fields_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, err = _run(["eval", "--model", str(bad), "--data", data], capsys)
     assert code == 2 and "model.params" in err
+
+
+def test_model_with_shared_child_exit_2(tmp_path, capsys):
+    data, doc = _trained_gamma_model(tmp_path, capsys)
+    doc["params"][0]["trees"][0]["nodes"] = [
+        {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 1},
+        {"kind": "leaf", "weight": 1.0},
+        {"kind": "leaf", "weight": 2.0}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(["predict", "--model", str(bad), "--data", data,
+                      "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 2 and "listed twice" in err
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

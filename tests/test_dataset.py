@@ -58,6 +58,26 @@ def test_load_csv_missing_column(tmp_path):
         db.load_csv(path, "z")
 
 
+def test_load_csv_binds_named_features_and_ignores_extras(tmp_path):
+    path = _write(tmp_path, "x2,id,y,x1\n1,7,3,2\n4,8,6,5\n")
+    ds = db.load_csv(path, "y", feature_names=("x1", "x2"))
+    assert ds.feature_names == ("x1", "x2")
+    assert np.array_equal(ds.features, [[2.0, 1.0], [5.0, 4.0]])
+    with pytest.raises(DataError, match=r"missing feature column 'x3'; expected: x1, x3"):
+        db.load_csv(path, "y", feature_names=("x1", "x3"))
+    with pytest.raises(DataError, match="'y' is bound twice"):
+        db.load_csv(path, "y", feature_names=("x1", "y"))
+
+
+def test_write_table_round_trips_floats(tmp_path):
+    values = np.array([[0.1, 1e-300], [2.0 / 3.0, 12345678912345.678]])
+    path = str(tmp_path / "t.csv")
+    db.write_table(path, ["a", "b"], values.tolist())
+    assert open(path).read().splitlines()[:2] == ["a,b", "0.1,1e-300"]
+    header, table = db.read_table(path)
+    assert header == ["a", "b"] and np.array_equal(table, values)
+
+
 def test_load_csv_duplicate_column(tmp_path):
     path = _write(tmp_path, "x1,x1,y\n1,2,3\n")
     with pytest.raises(DataError, match="duplicate"):

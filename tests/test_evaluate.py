@@ -82,6 +82,14 @@ def test_nll_score_rejects_loss_mismatch():
         db.nll_score(gamma_model, db.gamma_nll(2.0), ds)
 
 
+def test_nll_score_rejects_other_feature_order():
+    ds = db.Dataset([[0.0, 1.0]], [1.0], feature_names=("x1", "x2"))
+    model = _constant_model(db.squared_error(), ds)
+    swapped = db.Dataset([[1.0, 0.0]], [1.0], feature_names=("x2", "x1"))
+    with pytest.raises(ValidationError, match="features"):
+        db.nll_score(model, db.squared_error(), swapped)
+
+
 def test_nll_score_reports_nonfinite_row():
     ds = db.Dataset([[0.0], [1.0]], [1.0, 8.0])
     model = db.BoostedModel("squared_error", {}, ("x1",), [

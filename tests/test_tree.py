@@ -186,6 +186,14 @@ def test_validate_structure_detects_cycle():
         tree.validate_structure(1)
 
 
+def test_validate_structure_detects_shared_child():
+    # the orphan node 2 balances the node count of the shared child 1
+    tree = db.RegressionTree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [1, -1, -1],
+                             [0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="node 1 is listed twice"):
+        tree.validate_structure(1)
+
+
 def test_validate_structure_detects_unreachable():
     tree = db.RegressionTree([-1, -1], [0.0, 0.0], [-1, -1], [-1, -1], [1.0, 2.0])
     with pytest.raises(ValidationError, match="unreachable"):
