@@ -189,11 +189,14 @@ def cmd_gen(args):
     spec = Fields(read_json(args.params, "params file", ValidationError), "params file",
                   ValidationError, _GEN_KEYS)
     param_fn = dataset.PiecewiseParamMap(spec.get("cuts", "array"), spec.get("cells", "array"))
-    ds = dataset.generate_synthetic(
-        args.dist, args.n, args.seed, param_fn,
-        exposure_choices=spec.items("exposure_choices", "number", None),
-        adjustment_choices=spec.items("adjustment_choices", "number", None),
-    )
+    try:
+        ds = dataset.generate_synthetic(
+            args.dist, args.n, args.seed, param_fn,
+            exposure_choices=spec.items("exposure_choices", "number", None),
+            adjustment_choices=spec.items("adjustment_choices", "number", None),
+        )
+    except MemoryError:
+        raise ValidationError(f"--n {args.n}: too many rows to hold in memory") from None
     dataset.write_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows to {args.out}")
     return 0

@@ -315,26 +315,37 @@ def generate_synthetic(dist, n, seed, param_fn,
         if not np.all(np.isfinite(v)):
             raise ValidationError(f"non-finite '{k}' produced by param_fn")
 
-    if dist == "gamma":
-        _require(np.all(p["mu"] > 0) and np.all(p["alpha"] > 0),
-                 "gamma requires mu > 0 and alpha > 0")
-        y = rng.gamma(shape=p["alpha"], scale=p["mu"] / p["alpha"])
-    elif dist == "zip":
-        _require(np.all(p["mu"] > 0), "zip requires mu > 0")
-        _require(np.all((p["alpha"] > 0) & (p["alpha"] <= 1)),
-                 "zip requires alpha in (0, 1]")
-        keep = rng.random(n) < p["alpha"]
-        counts = rng.poisson(lam=p["mu"] / p["alpha"])
-        y = np.where(keep, counts, 0).astype(np.float64)
-    else:
-        _require(np.all(p["beta"] > 0) and np.all(p["gamma"] > 0),
-                 "negbin requires beta > 0 and gamma > 0")
-        r = exposure * p["gamma"]
-        prob = 1.0 / (1.0 + adjustment * p["beta"])
-        y = rng.negative_binomial(n=r, p=prob).astype(np.float64)
+    try:
+        # an overflow inside numpy's own parameter checks is reported below
+        with np.errstate(over="ignore"):
+            y = _sample_response(rng, dist, p, exposure, adjustment)
+    except ValueError as exc:
+        # numpy's samplers refuse some finite parameters, e.g. a Poisson
+        # mean above about 9.2e18
+        named = ", ".join(f"{k} up to {p[k].max():g}" for k in expected)
+        raise DataError(f"cannot sample {dist} responses with {named}: {exc}") from None
 
     return Dataset(X, y, exposure, adjustment,
                    source=f"synthetic:{dist}:seed={seed}:n={n}")
+
+
+def _sample_response(rng, dist, p, exposure, adjustment):
+    if dist == "gamma":
+        _require(np.all(p["mu"] > 0) and np.all(p["alpha"] > 0),
+                 "gamma requires mu > 0 and alpha > 0")
+        return rng.gamma(shape=p["alpha"], scale=p["mu"] / p["alpha"])
+    if dist == "zip":
+        _require(np.all(p["mu"] > 0), "zip requires mu > 0")
+        _require(np.all((p["alpha"] > 0) & (p["alpha"] <= 1)),
+                 "zip requires alpha in (0, 1]")
+        keep = rng.random(len(p["mu"])) < p["alpha"]
+        counts = rng.poisson(lam=p["mu"] / p["alpha"])
+        return np.where(keep, counts, 0).astype(np.float64)
+    _require(np.all(p["beta"] > 0) and np.all(p["gamma"] > 0),
+             "negbin requires beta > 0 and gamma > 0")
+    r = exposure * p["gamma"]
+    prob = 1.0 / (1.0 + adjustment * p["beta"])
+    return rng.negative_binomial(n=r, p=prob).astype(np.float64)
 
 
 def _draw_choices(rng, choices, n, what):

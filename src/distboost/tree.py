@@ -196,9 +196,38 @@ class RegressionTree:
 
 
 def presort_features(X):
-    """Per-column stable argsort, reusable across many build_tree calls."""
-    X = np.asarray(X, dtype=np.float64)
-    return [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+    """Stable argsort of every column, as one (features, rows) array that
+    many build_tree calls on the same X can share."""
+    return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _gain_slack(n, sum_abs_g, sum_h, two_a, lam, gamma_reg):
+    """Bound on how far two evaluations of one split's gain at an n-row node
+    can differ when their g and h sums add the same rows in different
+    orders; inf where none is derived (lam == 0, lam small against the
+    hessian mass, or gains near overflow).
+
+    With rho = (n + 2) eps and k = 2a sum(h) / lam, each g sum lies within
+    rho sum|g| of its exact value and each h sum within rho sum(h).  While
+    rho (1 + k) <= 1e-3 every denominator 2a h + lam stays above 0.99 lam,
+    each term g^2 / d lies within 4.4 rho (1 + k) sum|g|^2 / lam of its
+    exact value, and the two gains differ by less than
+    10 rho (1 + k) sum|g|^2 / lam + rho gamma_reg.  The factor 16 covers
+    sum|g| and sum(h) being rounded sums themselves; the last term covers
+    underflow.
+    """
+    if lam <= 0.0:
+        return math.inf
+    rho = (n + 2) * _EPS
+    spread = rho * (1.0 + two_a * sum_h / lam)
+    scale = sum_abs_g * sum_abs_g / lam
+    if not (spread <= 1e-3 and scale <= 1e300):
+        return math.inf
+    return 16.0 * spread * scale + rho * gamma_reg + _TINY * (1.0 + 1.0 / lam)
 
 
 def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
@@ -209,7 +238,7 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
     candidate is taken only if its gain is strictly positive and both
     children keep min_leaf_samples rows; ties break toward the lower
     feature index, then the smaller threshold, so construction is
-    deterministic.
+    deterministic.  presorted is presort_features(X), or its rows as a list.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -225,11 +254,12 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
         raise ValidationError("g must be finite (clip gradients first)")
     if not (np.all(np.isfinite(h_eff)) and np.all(h_eff >= 0)):
         raise ValidationError("h_eff must be finite and >= 0")
-    if presorted is None:
-        presorted = presort_features(X)
+    orders = presort_features(X) if presorted is None else np.asarray(presorted, dtype=np.intp)
+    XT = np.ascontiguousarray(X.T)
 
     two_a = 2.0 * params.a
     lam = params.lambda_reg
+    gamma_reg = params.gamma_reg
     min_leaf = int(params.min_leaf_samples)
 
     feature, threshold, left, right, weight = [], [], [], [], []
@@ -242,64 +272,86 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
         weight.append(0.0)
         return len(feature) - 1
 
+    def scan(f, of, G, H, parent_score):
+        """Feature f's best candidate by cumulative sums along its sorted
+        order: (scan gain, threshold, whether "< threshold" puts exactly
+        the scanned prefix left), or None when it has no candidate."""
+        xs = XT[f].take(of)
+        pos = np.flatnonzero(xs[:-1] != xs[1:])
+        pos = pos[np.searchsorted(pos, min_leaf - 1):
+                  np.searchsorted(pos, len(of) - 1 - min_leaf, side="right")]
+        if pos.size == 0:
+            return None
+        gl = np.cumsum(g.take(of))[pos]
+        hl = np.cumsum(h_eff.take(of))[pos]
+        gr, hr = G - gl, H - hl
+        dl = two_a * hl + lam
+        dr = two_a * hr + lam
+        gains = 0.5 * (gl ** 2 / dl + gr ** 2 / dr - parent_score) - gamma_reg
+        # dl rises and dr falls along pos, and a NaN (from a hessian sum
+        # that overflowed) reaches the end of either, so the ends show
+        # whether any denominator is <= 0
+        if not (dl[0] > 0 and dl[-1] > 0 and dr[-1] > 0):
+            ok = (dl > 0) & (dr > 0)
+            if not ok.any():
+                return None
+            gains = np.where(ok, gains, -np.inf)
+        k = int(np.argmax(gains))
+        lo, hi = xs[pos[k]], xs[pos[k] + 1]
+        # Midpoints of adjacent floats can round down onto the left value;
+        # bump to the right value so "< threshold" reproduces the scanned
+        # partition exactly.
+        thr = 0.5 * (lo + hi)
+        if thr <= lo:
+            thr = hi
+        return float(gains[k]), thr, bool(lo < thr <= hi)
+
     def grow(rows, orders, depth):
         # rows is the node's row set in ascending global order; all summed
         # node statistics use it so that two splits inducing the same row
         # partition get bit-identical gains regardless of which feature
         # produced them, keeping the documented tie-break exact.
         nid = new_node()
-        G = float(np.sum(g[rows]))
-        H = float(np.sum(h_eff[rows]))
+        g_rows, h_rows = g.take(rows), h_eff.take(rows)
+        G = float(np.sum(g_rows))
+        H = float(np.sum(h_rows))
 
         best_gain = 0.0
         best = None
         if depth < params.max_depth and len(rows) >= 2 * min_leaf:
             parent_score = leaf_score(G, H, params.a, lam)
-            for f in range(m):
-                of = orders[f]
-                xs = X[of, f]
-                boundary = xs[:-1] != xs[1:]
-                if not boundary.any():
+            found = [(f, *c) for f in range(m)
+                     if (c := scan(f, orders[f], G, H, parent_score)) is not None]
+            # Each feature's scan winner has its gain recomputed in canonical
+            # row order, which is the gain compared across features.  The
+            # two differ by at most `slack`, so a feature whose scan gain is
+            # more than 2 slack below the best scan gain cannot win or tie,
+            # and is skipped.  The bound needs every winner's threshold to
+            # reproduce its scanned partition (NaN or overflowing values may
+            # not); otherwise every feature is recomputed.
+            cut = -math.inf
+            if found and all(exact for *_, exact in found):
+                best_scan = max(c[1] for c in found)
+                slack = _gain_slack(len(rows), float(np.sum(np.abs(g_rows))), H,
+                                    two_a, lam, gamma_reg)
+                if math.isfinite(best_scan) and abs(best_scan) > 2.0 * slack:
+                    cut = best_scan - 2.0 * slack
+            for f, scan_gain, thr, _ in found:
+                if scan_gain < cut:
                     continue
-                pos = np.flatnonzero(boundary)
-                pos = pos[(pos + 1 >= min_leaf) & (len(of) - pos - 1 >= min_leaf)]
-                if pos.size == 0:
-                    continue
-                # fast scan locates the per-feature winner...
-                cg = np.cumsum(g[of])
-                ch = np.cumsum(h_eff[of])
-                gl, hl = cg[pos], ch[pos]
-                gr, hr = G - gl, H - hl
-                dl = two_a * hl + lam
-                dr = two_a * hr + lam
-                ok = (dl > 0) & (dr > 0)
-                if not ok.any():
-                    continue
-                gains = np.full(pos.shape, -np.inf)
-                gains[ok] = 0.5 * (gl[ok] ** 2 / dl[ok] + gr[ok] ** 2 / dr[ok]
-                                   - parent_score) - params.gamma_reg
-                k = int(np.argmax(gains))
-                p = int(pos[k])
-                # ...whose gain is then recomputed in canonical row order.
-                # Midpoints of adjacent floats can round down onto the left
-                # value; bump to the right value so "< threshold" reproduces
-                # the scanned partition exactly.
-                thr = 0.5 * (xs[p] + xs[p + 1])
-                if thr <= xs[p]:
-                    thr = xs[p + 1]
                 # both sides summed directly (not as parent-minus-left) so a
                 # mirrored partition on another feature gains bit-identically
-                lmask = X[rows, f] < thr
-                glc = float(np.sum(g[rows[lmask]]))
-                hlc = float(np.sum(h_eff[rows[lmask]]))
-                grc = float(np.sum(g[rows[~lmask]]))
-                hrc = float(np.sum(h_eff[rows[~lmask]]))
+                lmask = XT[f].take(rows) < thr
+                glc = float(np.sum(g_rows[lmask]))
+                hlc = float(np.sum(h_rows[lmask]))
+                grc = float(np.sum(g_rows[~lmask]))
+                hrc = float(np.sum(h_rows[~lmask]))
                 dlc = two_a * hlc + lam
                 drc = two_a * hrc + lam
                 if dlc <= 0 or drc <= 0:
                     continue
                 gain = 0.5 * (glc * glc / dlc + grc * grc / drc
-                              - parent_score) - params.gamma_reg
+                              - parent_score) - gamma_reg
                 if gain > best_gain:
                     best_gain = gain
                     best = (f, thr, lmask)
@@ -309,10 +361,14 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
             return nid
 
         f, thr, lmask = best
-        in_left = np.zeros(X.shape[0], dtype=bool)
-        in_left[rows[lmask]] = True
-        left_orders = [o[in_left[o]] for o in orders]
-        right_orders = [o[~in_left[o]] for o in orders]
+        left_orders = right_orders = None
+        if depth + 1 < params.max_depth:
+            # one gather splits every feature's sorted order between children
+            in_left = np.zeros(n, dtype=bool)
+            in_left[rows[lmask]] = True
+            goes_left = in_left.take(orders)
+            left_orders = orders[goes_left].reshape(m, -1)
+            right_orders = orders[~goes_left].reshape(m, -1)
 
         feature[nid] = f
         threshold[nid] = thr
@@ -320,5 +376,6 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
         right[nid] = grow(rows[~lmask], right_orders, depth + 1)
         return nid
 
-    grow(np.arange(n, dtype=np.intp), list(presorted), 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grow(np.arange(n, dtype=np.intp), orders, 0)
     return RegressionTree(feature, threshold, left, right, weight)

@@ -3,10 +3,16 @@
 Everything here is deliberately written the most straightforward way
 (plain Python loops, explicit candidate enumeration, no code shared with
 the package) so the engine is checked against implementations that cannot
-share its bugs.
+share its bugs.  The exception is ref_build_tree_scan, a frozen copy of the
+package's earlier builder that pins the current one to the same trees, bit
+for bit; it uses the package's leaf formulas, presort and tree class.
 """
 
 import numpy as np
+
+from distboost.errors import ValidationError
+from distboost.tree import (RegressionTree, TreeParams, leaf_score, leaf_weight,
+                            presort_features)
 
 
 def central_diff(f, x, step):
@@ -187,3 +193,130 @@ def classic_boost_squared_error(X, y, base, eta, rounds, lam, gamma,
         trees.append(tree)
         pred = pred + eta * np.array([ref_predict(tree, X[i]) for i in range(len(y))])
     return trees, pred
+
+
+# ---------------------------------------------------------------------------
+# The package's exact greedy builder as it was before its canonical-order
+# recompute was limited to a rounding window, kept verbatim.
+
+def ref_build_tree_scan(X, g, h_eff, params: TreeParams, presorted=None):
+    """Grow one tree by exact greedy search.
+
+    Split candidates at each node are the midpoints between consecutive
+    distinct sorted values of each feature within the node.  The best
+    candidate is taken only if its gain is strictly positive and both
+    children keep min_leaf_samples rows; ties break toward the lower
+    feature index, then the smaller threshold, so construction is
+    deterministic.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValidationError("X must be 2-D")
+    n, m = X.shape
+    if n < 1:
+        raise ValidationError("cannot build a tree on an empty subset")
+    g = np.asarray(g, dtype=np.float64)
+    h_eff = np.asarray(h_eff, dtype=np.float64)
+    if g.shape != (n,) or h_eff.shape != (n,):
+        raise ValidationError("g and h_eff must be 1-D arrays matching X rows")
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("g must be finite (clip gradients first)")
+    if not (np.all(np.isfinite(h_eff)) and np.all(h_eff >= 0)):
+        raise ValidationError("h_eff must be finite and >= 0")
+    if presorted is None:
+        presorted = presort_features(X)
+
+    two_a = 2.0 * params.a
+    lam = params.lambda_reg
+    min_leaf = int(params.min_leaf_samples)
+
+    feature, threshold, left, right, weight = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        weight.append(0.0)
+        return len(feature) - 1
+
+    def grow(rows, orders, depth):
+        # rows is the node's row set in ascending global order; all summed
+        # node statistics use it so that two splits inducing the same row
+        # partition get bit-identical gains regardless of which feature
+        # produced them, keeping the documented tie-break exact.
+        nid = new_node()
+        G = float(np.sum(g[rows]))
+        H = float(np.sum(h_eff[rows]))
+
+        best_gain = 0.0
+        best = None
+        if depth < params.max_depth and len(rows) >= 2 * min_leaf:
+            parent_score = leaf_score(G, H, params.a, lam)
+            for f in range(m):
+                of = orders[f]
+                xs = X[of, f]
+                boundary = xs[:-1] != xs[1:]
+                if not boundary.any():
+                    continue
+                pos = np.flatnonzero(boundary)
+                pos = pos[(pos + 1 >= min_leaf) & (len(of) - pos - 1 >= min_leaf)]
+                if pos.size == 0:
+                    continue
+                # fast scan locates the per-feature winner...
+                cg = np.cumsum(g[of])
+                ch = np.cumsum(h_eff[of])
+                gl, hl = cg[pos], ch[pos]
+                gr, hr = G - gl, H - hl
+                dl = two_a * hl + lam
+                dr = two_a * hr + lam
+                ok = (dl > 0) & (dr > 0)
+                if not ok.any():
+                    continue
+                gains = np.full(pos.shape, -np.inf)
+                gains[ok] = 0.5 * (gl[ok] ** 2 / dl[ok] + gr[ok] ** 2 / dr[ok]
+                                   - parent_score) - params.gamma_reg
+                k = int(np.argmax(gains))
+                p = int(pos[k])
+                # ...whose gain is then recomputed in canonical row order.
+                # Midpoints of adjacent floats can round down onto the left
+                # value; bump to the right value so "< threshold" reproduces
+                # the scanned partition exactly.
+                thr = 0.5 * (xs[p] + xs[p + 1])
+                if thr <= xs[p]:
+                    thr = xs[p + 1]
+                # both sides summed directly (not as parent-minus-left) so a
+                # mirrored partition on another feature gains bit-identically
+                lmask = X[rows, f] < thr
+                glc = float(np.sum(g[rows[lmask]]))
+                hlc = float(np.sum(h_eff[rows[lmask]]))
+                grc = float(np.sum(g[rows[~lmask]]))
+                hrc = float(np.sum(h_eff[rows[~lmask]]))
+                dlc = two_a * hlc + lam
+                drc = two_a * hrc + lam
+                if dlc <= 0 or drc <= 0:
+                    continue
+                gain = 0.5 * (glc * glc / dlc + grc * grc / drc
+                              - parent_score) - params.gamma_reg
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (f, thr, lmask)
+
+        if best is None:
+            weight[nid] = leaf_weight(G, H, params.a, lam)
+            return nid
+
+        f, thr, lmask = best
+        in_left = np.zeros(X.shape[0], dtype=bool)
+        in_left[rows[lmask]] = True
+        left_orders = [o[in_left[o]] for o in orders]
+        right_orders = [o[~in_left[o]] for o in orders]
+
+        feature[nid] = f
+        threshold[nid] = thr
+        left[nid] = grow(rows[lmask], left_orders, depth + 1)
+        right[nid] = grow(rows[~lmask], right_orders, depth + 1)
+        return nid
+
+    grow(np.arange(n, dtype=np.intp), list(presorted), 0)
+    return RegressionTree(feature, threshold, left, right, weight)

@@ -194,6 +194,27 @@ def test_malformed_gen_params_exit_2(tmp_path, capsys, spec, field):
     assert code == 2 and field in err
 
 
+@pytest.mark.parametrize("dist, cell, named", [
+    ("zip", {"mu": 1e20, "alpha": 0.5}, "mu up to 1e+20"),
+    ("negbin", {"beta": 1e300, "gamma": 1e300}, "beta up to 1e+300, gamma up to 1e+300"),
+])
+def test_gen_parameters_beyond_the_sampler_exit_2(tmp_path, capsys, dist, cell, named):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"cuts": [[], []], "cells": [[cell]]}))
+    code, err = _run(["gen", "--dist", dist, "--n", "10", "--seed", "1",
+                      "--params", str(params), "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2 and f"cannot sample {dist} responses with {named}" in err
+
+
+def test_gen_rows_beyond_memory_exit_2(tmp_path, capsys):
+    # numpy refuses the 1.6 TB feature matrix before allocating any of it
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"cuts": [[], []], "cells": [[{"mu": 1.0, "alpha": 2.0}]]}))
+    code, err = _run(["gen", "--dist", "gamma", "--n", "100000000000", "--seed", "1",
+                      "--params", str(params), "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2 and "--n 100000000000" in err
+
+
 def test_check_loss_pass_and_fail(capsys):
     assert main(["check-loss", "--loss", "gamma", "--nuisance",
                  '{"alpha": 5}', "--y-samples", "0.1,4,100"]) == 0

@@ -297,6 +297,50 @@ def test_depth_two_greedy_never_beats_exhaustive():
 
 
 # ---------------------------------------------------------------------------
+# bitwise identity with the earlier builder, on instances that crowd
+# candidates into the rounding window: exact ties, mirrored and duplicated
+# columns, few distinct values, extreme gradient scales, zero hessians
+
+def _window_stress_instance(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 48))
+    m = int(rng.integers(1, 5))
+    if rng.random() < 0.5:
+        X = rng.integers(0, int(rng.integers(1, 6)), size=(n, m)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, m))
+    if m >= 2 and rng.random() < 0.5:
+        X[:, 1] = -X[:, 0]
+    if m >= 3 and rng.random() < 0.5:
+        X[:, 2] = X[:, 0]
+    g = rng.integers(-3, 4, n).astype(np.float64) if rng.random() < 0.5 else rng.normal(size=n)
+    g *= rng.choice([1.0, 1e8, 1e-8])
+    h = rng.random(n) * (rng.random(n) > 0.3)
+    params = db.TreeParams(lambda_reg=float(rng.choice([0.0, 1e-9, 1.0])),
+                           a=float(rng.choice([0.0, 0.25, 0.5])),
+                           max_depth=int(rng.integers(1, 5)),
+                           min_leaf_samples=int(rng.integers(1, 5)))
+    return X, g, h, params
+
+
+def test_builder_matches_earlier_scan_builder_bitwise():
+    built = 0
+    for seed in range(1200):
+        X, g, h, params = _window_stress_instance(seed)
+        try:
+            ref = oracles.ref_build_tree_scan(X, g, h, params)
+        except NumericError:
+            with pytest.raises(NumericError):
+                db.build_tree(X, g, h, params)
+            continue
+        tree = db.build_tree(X, g, h, params)
+        for name in ("feature", "threshold", "left", "right", "weight"):
+            assert np.array_equal(getattr(tree, name), getattr(ref, name)), (seed, name)
+        built += 1
+    assert built >= 1000
+
+
+# ---------------------------------------------------------------------------
 # prediction plumbing
 
 def test_predict_many_agrees_with_scalar_predict():
