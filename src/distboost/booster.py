@@ -192,6 +192,10 @@ class RoundRecord:
     train_nll: float
     max_abs_grad: tuple       # per-parameter float or None when inactive
     clamped_rows: tuple       # per-parameter count of rows clamped this round
+    grad_clipped: tuple       # per-parameter count of rows whose raw gradient was
+                              # NaN or outside [-clip_m, clip_m]
+    hess_zeroed: tuple        # per-parameter count of rows whose raw hessian was
+                              # negative or non-finite
 
 
 @dataclass
@@ -263,11 +267,19 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
 
         # Simultaneous-update semantics: all statistics at the pre-round state.
         stats = {}
+        n_grad_clipped = [0] * l
+        n_hess_zeroed = [0] * l
         for j in active:
             cfg = configs[j]
-            g = clip_gradient(loss.grad(j, theta_cols, y, expo, adj), cfg.clip_m)
-            h = effective_hessian(loss.hess(j, theta_cols, y, expo, adj), cfg.a)
+            raw_g = loss.grad(j, theta_cols, y, expo, adj)
+            raw_h = loss.hess(j, theta_cols, y, expo, adj)
+            g = clip_gradient(raw_g, cfg.clip_m)
+            h = effective_hessian(raw_h, cfg.a)
             assert np.all(np.abs(g) <= cfg.clip_m)
+            # NaN compares unequal to everything, so these count exactly the
+            # rows that clipping or zeroing changed
+            n_grad_clipped[j] = int(np.count_nonzero(g != raw_g))
+            n_hess_zeroed[j] = int(np.count_nonzero(h != raw_h))
             stats[j] = (g, h)
 
         max_abs_g = [None] * l
@@ -296,6 +308,8 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
             train_nll=nll,
             max_abs_grad=tuple(max_abs_g),
             clamped_rows=tuple(n_clamped),
+            grad_clipped=tuple(n_grad_clipped),
+            hess_zeroed=tuple(n_hess_zeroed),
         ))
 
     model = BoostedModel(loss.name, loss.nuisance, ds.feature_names, ensembles)

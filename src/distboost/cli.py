@@ -110,12 +110,13 @@ def parse_run_config(doc):
 def _write_trace(path, loss, trace):
     """One row per round; per-parameter cells are empty where it was inactive."""
     names = loss.param_names
+    per_param = ("max_abs_grad", "clamped_rows", "grad_clipped", "hess_zeroed")
     cols = (["round"] + [f"active_{p}" for p in names] + ["train_nll"]
-            + [f"max_abs_grad_{p}" for p in names] + [f"clamped_rows_{p}" for p in names])
+            + [f"{field}_{p}" for field in per_param for p in names])
     dataset.write_table(path, cols, (
         [rec.round, *map(int, rec.active), rec.train_nll,
-         *(g if f else "" for f, g in zip(rec.active, rec.max_abs_grad)),
-         *(c if f else "" for f, c in zip(rec.active, rec.clamped_rows))]
+         *(v if f else "" for field in per_param
+           for f, v in zip(rec.active, getattr(rec, field)))]
         for rec in trace))
 
 

@@ -319,9 +319,12 @@ def generate_synthetic(dist, n, seed, param_fn,
         # an overflow inside numpy's own parameter checks is reported below
         with np.errstate(over="ignore"):
             y = _sample_response(rng, dist, p, exposure, adjustment)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("the sampler returned a non-finite response")
     except ValueError as exc:
         # numpy's samplers refuse some finite parameters, e.g. a Poisson
-        # mean above about 9.2e18
+        # mean above about 9.2e18, and return inf for others, e.g. a gamma
+        # scale mu / alpha that overflows
         named = ", ".join(f"{k} up to {p[k].max():g}" for k in expected)
         raise DataError(f"cannot sample {dist} responses with {named}: {exc}") from None
 

@@ -120,6 +120,37 @@ class Loss:
         return f"{type(self).__name__}({nus})"
 
 
+# counts up to this many terms are summed directly in _trigamma_difference;
+# larger counts add the rest through the scipy trigamma
+_DIRECT_TERMS = 64
+
+
+def _trigamma_difference(r, y):
+    """psi_1(r) - psi_1(r + y) for r > 0 and nonnegative integer counts y.
+
+    By the recurrence psi_1(x) = psi_1(x + 1) + 1/x^2 the difference is the
+    sum of 1/(r + k)^2 over k < y.  With K = _DIRECT_TERMS, the first
+    min(y, K) terms are added in ascending k, over a row set that shrinks as
+    the counts run out; rows with y > K add the exact tail
+    psi_1(r + K) - psi_1(r + y).  Result has the broadcast shape of r and y;
+    it is exactly 0 where y = 0.
+    """
+    r, y = np.broadcast_arrays(r, y)
+    shape = r.shape
+    r, y = r.ravel(), y.ravel()
+    out = np.zeros(r.shape)
+    idx = np.flatnonzero(y > 0)
+    for k in range(_DIRECT_TERMS):
+        if not idx.size:
+            break
+        out[idx] += 1.0 / (r[idx] + k) ** 2
+        idx = idx[y[idx] > k + 1]
+    if idx.size:
+        ri = r[idx]
+        out[idx] += polygamma(1, ri + _DIRECT_TERMS) - polygamma(1, ri + y[idx])
+    return out.reshape(shape)
+
+
 def _check_count_response(y, name):
     y = np.asarray(y, dtype=np.float64)
     ok = np.isfinite(y) & (y >= 0) & (y == np.floor(y))
@@ -312,8 +343,9 @@ class NegBinNLL(Loss):
 
     Exposure multiplies the shape (observation-window scaling); the
     adjustment coefficient rescales beta per row (deductible effects on
-    claim frequency).  Partials in beta are elementary; partials in gamma
-    go through the digamma/trigamma functions.
+    claim frequency).  Partials in beta are elementary.  The gamma gradient
+    takes scipy's digamma at r and y + r; the gamma hessian needs
+    psi_1(r) - psi_1(y + r), which _trigamma_difference sums over the count.
     """
 
     name = "negbin"
@@ -350,7 +382,7 @@ class NegBinNLL(Loss):
         r, b, y, e, adj = self._parts(theta, y, exposure, adjustment)
         if j == 0:
             return adj**2 * (y / b**2 - (r + y) / (1.0 + b) ** 2)
-        return e**2 * (polygamma(1, r) - polygamma(1, y + r))
+        return e**2 * _trigamma_difference(r, y)
 
     def mle_init(self, ds):
         # Method of moments on the per-unit scale y / (exposure * adjustment):

@@ -46,7 +46,8 @@ def test_train_eval_predict_pipeline(tmp_path, capsys):
 
     trace_lines = open(trace).read().splitlines()
     assert trace_lines[0] == ("round,active_mu,train_nll,"
-                              "max_abs_grad_mu,clamped_rows_mu")
+                              "max_abs_grad_mu,clamped_rows_mu,"
+                              "grad_clipped_mu,hess_zeroed_mu")
     assert len(trace_lines) - 1 == 25
 
     assert main(["eval", "--model", model, "--data", data]) == 0
@@ -197,6 +198,8 @@ def test_malformed_gen_params_exit_2(tmp_path, capsys, spec, field):
 @pytest.mark.parametrize("dist, cell, named", [
     ("zip", {"mu": 1e20, "alpha": 0.5}, "mu up to 1e+20"),
     ("negbin", {"beta": 1e300, "gamma": 1e300}, "beta up to 1e+300, gamma up to 1e+300"),
+    # the scale mu / alpha overflows, and numpy's gamma sampler returns inf
+    ("gamma", {"mu": 1e300, "alpha": 1e-300}, "mu up to 1e+300, alpha up to 1e-300"),
 ])
 def test_gen_parameters_beyond_the_sampler_exit_2(tmp_path, capsys, dist, cell, named):
     params = tmp_path / "params.json"
@@ -480,6 +483,44 @@ def test_trace_cells_empty_for_inactive_parameter(tmp_path, capsys):
         inactive = r["active_gamma"] == "0"
         assert (r["max_abs_grad_gamma"] == "") == inactive
         assert (r["clamped_rows_gamma"] == "") == inactive
+
+
+def test_trace_counts_clipped_gradients_and_zeroed_hessians(tmp_path, capsys):
+    # mu starts at 40, past 2y for every row with y < 20: there the gamma
+    # NLL is concave in mu, and its gradient alpha (mu - y) / mu^2 exceeds 0.05
+    data = _gamma_csv(tmp_path)
+    y = db.load_csv(data, "y").response
+    config = _gamma_config(tmp_path, params=[{"eta": 0.1, "lambda_reg": 1.0, "clip_m": 0.05,
+                                              "base_value": 40.0}])
+    trace = str(tmp_path / "trace.csv")
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "m.json"), "--trace", trace]) == 0
+    rows = _read_trace(trace)
+    first = rows[0]
+    assert int(first["hess_zeroed_mu"]) == int(np.sum(y < 20.0)) > 0
+    g = 5.0 * (40.0 - y) / 40.0**2
+    assert int(first["grad_clipped_mu"]) == int(np.sum(np.abs(g) > 0.05)) > 0
+    for r in rows:
+        assert 0 <= int(r["hess_zeroed_mu"]) <= len(y)
+        assert 0 <= int(r["grad_clipped_mu"]) <= len(y)
+
+
+def test_trace_count_cells_empty_for_inactive_parameter(tmp_path, capsys):
+    ds = db.generate_synthetic("negbin", 300, 4, lambda X: {"beta": 1.0, "gamma": 2.0})
+    data = str(tmp_path / "nb.csv")
+    db.write_csv(ds, data)
+    config = str(tmp_path / "nb.json")
+    with open(config, "w") as fh:
+        json.dump({"loss": {"name": "negbin"}, "total_rounds": 4,
+                   "params": [{"max_depth": 2}, {"max_depth": 2, "interval": 2}]}, fh)
+    trace = str(tmp_path / "trace.csv")
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "m.json"), "--trace", trace]) == 0
+    for r in _read_trace(trace):
+        assert r["grad_clipped_beta"].isdigit() and r["hess_zeroed_beta"].isdigit()
+        # the gamma hessian is a sum of squares, never negative
+        cells = {r["grad_clipped_gamma"], r["hess_zeroed_gamma"]}
+        assert cells == ({""} if r["active_gamma"] == "0" else {"0"})
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma, polygamma
 
 import distboost as db
+from distboost import losses
 from distboost.errors import ValidationError
 
 RNG = np.random.default_rng(20240817)
@@ -213,6 +215,92 @@ def test_negbin_underdispersed_init_clamps_to_floor():
     loss = db.negbin_nll()
     beta0, gamma0 = loss.mle_init(ds)
     assert beta0 == loss.default_domains(ds)[0].lo
+
+
+def _old_trigamma_hess(theta, y, e):
+    """The gamma hessian as two scipy trigamma calls, before the count sum."""
+    r = np.asarray(e) * np.asarray(theta[1])
+    return np.asarray(e) ** 2 * (polygamma(1, r) - polygamma(1, np.asarray(y) + r))
+
+
+def test_negbin_kernels_match_mpmath_at_the_edges():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    k = losses._DIRECT_TERMS
+    # counts inside the direct sum, at its end, and into the trigamma tail
+    ys = [0.0, 1.0, 2.0, 5.0, k - 1.0, k, k + 1.0, 200.0, 1000.0]
+    r, y = (a.ravel() for a in np.meshgrid(np.geomspace(1e-4, 1e4, 81), ys))
+    loss = db.negbin_nll()
+    hess = loss.hess(1, (1.0, r), y)
+    # beta = 1e-300 leaves the digamma difference alone in the gradient
+    grad = loss.grad(1, (1e-300, r), y)
+    value = loss.value((1.0, r), y)
+
+    zero = y == 0
+    assert np.all(hess[zero] == 0.0)
+    assert np.all(grad[zero] == np.log1p(1e-300))
+    assert np.all(value[zero] == r[zero] * np.log(2.0))
+    for ri, yi, h, g, v in zip(r[~zero], y[~zero], hess[~zero], grad[~zero], value[~zero]):
+        rr = mp.mpf(float(ri))
+        true_h = mp.psi(1, rr) - mp.psi(1, rr + yi)
+        assert abs((h - true_h) / true_h) <= 1e-12, (ri, yi)
+        true_v = (mp.loggamma(rr) + mp.loggamma(yi + 1) - mp.loggamma(rr + yi)
+                  + (rr + yi) * mp.log(2))
+        assert abs((v - true_v) / true_v) <= 1e-12, (ri, yi)
+        # scipy's digamma at r and r + y: when r >> y the difference loses
+        # digits to cancellation, up to a few ulps of the larger term
+        true_g = mp.psi(0, rr) - mp.psi(0, rr + yi)
+        ulp = np.spacing(max(abs(digamma(ri)), abs(digamma(ri + yi))))
+        assert abs(g - true_g) <= 1e-12 * abs(true_g) + 4 * ulp, (ri, yi)
+
+
+def test_negbin_gamma_hessian_keeps_the_shape_contract():
+    loss = db.negbin_nll()
+    h = loss.hess(1, (1.5, 2.0), 3.0, 1.5, 0.8)
+    assert isinstance(h, float)
+    assert h == pytest.approx(float(_old_trigamma_hess((1.5, 2.0), 3.0, 1.5)), rel=1e-12)
+    ys = np.array([0.0, 3.0, 70.0])
+    gams = np.array([0.5, 2.0, 9.0])
+    for theta, y, e in [((1.0, 2.0), ys, 1.0), ((1.0, gams), 3.0, 1.0),
+                        ((1.0, gams), 3.0, np.array([[0.5], [2.0]])),
+                        ((1.0, gams[:, None]), ys, 1.0)]:
+        h = loss.hess(1, theta, y, e)
+        old = _old_trigamma_hess(theta, y, e)
+        assert isinstance(h, np.ndarray) and h.shape == old.shape
+        np.testing.assert_allclose(h, old, rtol=1e-12, atol=0)
+
+
+def test_negbin_gamma_hessian_matches_two_trigamma_calls():
+    # the finite-difference grid's ranges, drawn from a seed of their own
+    rng = np.random.default_rng(7)
+    n = 2000
+    theta = (np.exp(rng.uniform(np.log(0.05), np.log(50.0), n)),
+             np.exp(rng.uniform(np.log(0.05), np.log(50.0), n)))
+    y = rng.integers(0, 11, n).astype(float)
+    e, adj = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    h = db.negbin_nll().hess(1, theta, y, e, adj)
+    np.testing.assert_allclose(h, _old_trigamma_hess(theta, y, e), rtol=1e-12, atol=0)
+
+
+def test_negbin_tail_goes_through_the_module_polygamma(monkeypatch):
+    # the benchmark's tracer times the trigamma tail by wrapping this global
+    calls = []
+    original = losses.polygamma
+
+    def counting(n, x):
+        calls.append(np.size(x))
+        return original(n, x)
+
+    monkeypatch.setattr(losses, "polygamma", counting)
+    loss = db.negbin_nll()
+    k = losses._DIRECT_TERMS
+    loss.hess(1, (1.0, 2.0), np.array([0.0, 1.0, k]))
+    assert calls == []
+    h = loss.hess(1, (1.0, 2.0), np.array([0.0, 1.0, k + 1.0, 500.0]))
+    assert calls and all(c == 2 for c in calls)
+    monkeypatch.undo()
+    np.testing.assert_allclose(h, _old_trigamma_hess((1.0, 2.0), [0.0, 1.0, k + 1.0, 500.0], 1.0),
+                               rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
