@@ -483,6 +483,10 @@ def test_trace_cells_empty_for_inactive_parameter(tmp_path, capsys):
         inactive = r["active_gamma"] == "0"
         assert (r["max_abs_grad_gamma"] == "") == inactive
         assert (r["clamped_rows_gamma"] == "") == inactive
+        assert r["grad_clipped_beta"].isdigit() and r["hess_zeroed_beta"].isdigit()
+        # the gamma hessian is a sum of squares, never negative
+        cells = {r["grad_clipped_gamma"], r["hess_zeroed_gamma"]}
+        assert cells == ({""} if inactive else {"0"})
 
 
 def test_trace_counts_clipped_gradients_and_zeroed_hessians(tmp_path, capsys):
@@ -503,24 +507,6 @@ def test_trace_counts_clipped_gradients_and_zeroed_hessians(tmp_path, capsys):
     for r in rows:
         assert 0 <= int(r["hess_zeroed_mu"]) <= len(y)
         assert 0 <= int(r["grad_clipped_mu"]) <= len(y)
-
-
-def test_trace_count_cells_empty_for_inactive_parameter(tmp_path, capsys):
-    ds = db.generate_synthetic("negbin", 300, 4, lambda X: {"beta": 1.0, "gamma": 2.0})
-    data = str(tmp_path / "nb.csv")
-    db.write_csv(ds, data)
-    config = str(tmp_path / "nb.json")
-    with open(config, "w") as fh:
-        json.dump({"loss": {"name": "negbin"}, "total_rounds": 4,
-                   "params": [{"max_depth": 2}, {"max_depth": 2, "interval": 2}]}, fh)
-    trace = str(tmp_path / "trace.csv")
-    assert main(["train", "--data", data, "--config", config,
-                 "--out", str(tmp_path / "m.json"), "--trace", trace]) == 0
-    for r in _read_trace(trace):
-        assert r["grad_clipped_beta"].isdigit() and r["hess_zeroed_beta"].isdigit()
-        # the gamma hessian is a sum of squares, never negative
-        cells = {r["grad_clipped_gamma"], r["hess_zeroed_gamma"]}
-        assert cells == ({""} if r["active_gamma"] == "0" else {"0"})
 
 
 # ---------------------------------------------------------------------------

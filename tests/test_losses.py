@@ -227,7 +227,7 @@ def test_negbin_kernels_match_mpmath_at_the_edges():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     k = losses._DIRECT_TERMS
-    # counts inside the direct sum, at its end, and into the trigamma tail
+    # counts inside the direct sum, at its end, and past it into scipy's trigamma
     ys = [0.0, 1.0, 2.0, 5.0, k - 1.0, k, k + 1.0, 200.0, 1000.0]
     r, y = (a.ravel() for a in np.meshgrid(np.geomspace(1e-4, 1e4, 81), ys))
     loss = db.negbin_nll()
@@ -283,7 +283,7 @@ def test_negbin_gamma_hessian_matches_two_trigamma_calls():
 
 
 def test_negbin_tail_goes_through_the_module_polygamma(monkeypatch):
-    # the benchmark's tracer times the trigamma tail by wrapping this global
+    # the benchmark's tracer times the large-count trigamma calls by wrapping this global
     calls = []
     original = losses.polygamma
 
