@@ -39,7 +39,7 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .evaluate import EvalReport, RankedEntry, compare, nll_score
+from .evaluate import EvalReport, nll_score
 from .losses import (
     AdmissibilityReport,
     Loss,
@@ -57,14 +57,12 @@ from .losses import (
 )
 from .model_io import load, save
 from .tree import (
-    GradPair,
     RegressionTree,
     TreeParams,
     build_tree,
     leaf_score,
     leaf_weight,
     presort_features,
-    split_gain,
 )
 
 __version__ = "0.1.0"

@@ -128,7 +128,8 @@ class BoostedModel:
     Prediction for parameter j is the base value plus the shrunken sum of
     its trees, clamped once into the parameter's working interval.  The sum
     runs tree by tree in fit order (cumsum, never pairwise) over one stacked
-    tree per parameter, packed at construction and routed in one pass.
+    tree per parameter, packed and validated at construction and routed in
+    one pass.
     """
 
     def __init__(self, loss_name, nuisance, feature_names, params):
@@ -136,10 +137,16 @@ class BoostedModel:
         self.nuisance = dict(nuisance)
         self.feature_names = tuple(feature_names)
         self.params = list(params)
-        # per parameter: the base value as a one-leaf tree, then the trees shrunk by eta
-        self._stacks = [RegressionTree.stack(
-            [_LEAF_TREE] + [t for t, _ in p.trees], [p.base_value] + [eta for _, eta in p.trees])
-            for p in self.params]
+        # per parameter, validated once: base value as one-leaf tree -1, then trees shrunk by eta
+        self._stacks = []
+        for j, p in enumerate(self.params):
+            stack = RegressionTree.stack([_LEAF_TREE] + [t for t, _ in p.trees],
+                                         [p.base_value] + [eta for _, eta in p.trees], -1)
+            try:
+                stack.validate_structure(len(self.feature_names))
+            except ValidationError as exc:
+                raise ValidationError(f"params[{j}].trees: {exc}") from None
+            self._stacks.append(stack)
 
     @property
     def n_params(self):

@@ -181,7 +181,10 @@ def cmd_check_loss(args):
     except ValueError:
         raise ValidationError(f"--y-samples: not a comma-separated number list: "
                               f"{args.y_samples!r}") from None
-    report = losses.check_admissibility(loss, y_samples, args.grid)
+    try:
+        report = losses.check_admissibility(loss, y_samples, args.grid)
+    except MemoryError:
+        raise ValidationError(f"--grid {args.grid}: too many points to hold in memory") from None
     print(report.describe())
     return 0 if report.passed else 3
 

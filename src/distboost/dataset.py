@@ -298,6 +298,8 @@ def generate_synthetic(dist, n, seed, param_fn,
     n = int(n)
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if int(seed) < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = _rng(seed)
     X = rng.random((n, 2))

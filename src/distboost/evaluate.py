@@ -3,8 +3,7 @@
 Candidates trained with different parameterizations, link choices, or
 hyperparameters are all comparable under the same index as long as they are
 scored on the same rows; reports therefore carry a dataset identity
-(source, row count, content hash) and compare() refuses to rank reports
-from different data.
+(source, row count, content hash) next to the model identity.
 """
 
 from __future__ import annotations
@@ -67,33 +66,3 @@ def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):
         mean_nll=total / n,
         n=n,
     )
-
-
-@dataclass(frozen=True)
-class RankedEntry:
-    rank: int
-    report: EvalReport
-    tied: bool
-
-
-def compare(reports):
-    """Rank reports scored on the same dataset, best (lowest) total NLL first.
-
-    Exact ties keep lexicographic model order and are flagged.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValidationError("nothing to compare")
-    ref = reports[0]
-    for r in reports[1:]:
-        if r.dataset_id != ref.dataset_id or r.n != ref.n:
-            raise ValidationError(
-                f"reports scored on different datasets: {ref.dataset_id} vs {r.dataset_id}")
-    ordered = sorted(reports, key=lambda r: (r.total_nll, r.model_id))
-    scores = [r.total_nll for r in ordered]
-    out = []
-    for i, r in enumerate(ordered):
-        tied = (i > 0 and scores[i - 1] == scores[i]) or \
-               (i + 1 < len(scores) and scores[i + 1] == scores[i])
-        out.append(RankedEntry(rank=i + 1, report=r, tied=tied))
-    return out

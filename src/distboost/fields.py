@@ -17,12 +17,17 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# kind -> (description, test, conversion); integers may be written as 3.0
+_MAX = sys.float_info.max
+
+# kind -> (description, test, conversion); integers may be written as 3.0.
+# The tests settle the exact types that json.loads returns first.
 _KINDS = {
     "number": ("a finite number",
-               lambda v: _is_number(v) and abs(v) <= sys.float_info.max, float),
+               lambda v: type(v) is float and -_MAX <= v <= _MAX
+               or _is_number(v) and abs(v) <= _MAX, float),
     "integer": ("an integer",
-                lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int),
+                lambda v: type(v) is int
+                or _is_number(v) and (isinstance(v, int) or v.is_integer()), int),
     "string": ("a string", lambda v: isinstance(v, str), None),
     "array": ("an array", lambda v: isinstance(v, list), None),
     "object": ("an object", lambda v: isinstance(v, dict), None),
@@ -39,8 +44,12 @@ def typed(value, kind, where, error):
 
 def typed_items(values, kind, where, error):
     """values as an array with each element read as kind."""
-    return [typed(v, kind, f"{where}[{i}]", error)
-            for i, v in enumerate(typed(values, "array", where, error))]
+    values = typed(values, "array", where, error)
+    _, test, convert = _KINDS[kind]
+    if not all(map(test, values)):
+        i = next(i for i, v in enumerate(values) if not test(v))
+        typed(values[i], kind, f"{where}[{i}]", error)
+    return list(values if convert is None else map(convert, values))
 
 
 def parse_json(text, what, error):

@@ -11,28 +11,30 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .booster import BoostedModel, ParamEnsemble
 from .errors import ModelFormatError, ValidationError
 from .fields import Fields, read_json, typed
 from .losses import ParameterDomain, loss_names, make_loss
 from .tree import RegressionTree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _TOP_KEYS = {"format_version", "loss_name", "nuisance", "feature_names", "params"}
 _PARAM_KEYS = {"name", "base_value", "domain", "trees"}
-_TREE_KEYS = {"eta", "nodes"}
-_SPLIT_KEYS = {"kind", "feature", "threshold", "left", "right"}
-_LEAF_KEYS = {"kind", "weight"}
 _DOMAIN_KEYS = {"lo", "hi"}
+# per node, in RegressionTree's argument order; children are tree-local
+_NODE_COLUMNS = (("feature", "integer"), ("threshold", "number"), ("left", "integer"),
+                 ("right", "integer"), ("weight", "number"))
+_TREES_KEYS = {"eta", "size"} | {key for key, _ in _NODE_COLUMNS}
 
 
-def _tree_to_nodes(tree: RegressionTree):
-    return [{"kind": "leaf", "weight": float(w)} if f < 0 else
-            {"kind": "split", "feature": int(f), "threshold": float(t),
-             "left": int(left), "right": int(right)}
-            for f, t, left, right, w in zip(tree.feature, tree.threshold, tree.left,
-                                            tree.right, tree.weight)]
+def _trees_to_columns(trees):
+    columns = {key: [v for t, _ in trees for v in getattr(t, key).tolist()]
+               for key, _ in _NODE_COLUMNS}
+    return dict(columns, eta=[float(eta) for _, eta in trees],
+                size=[t.n_nodes for t, _ in trees])
 
 
 def model_to_dict(model: BoostedModel):
@@ -46,8 +48,7 @@ def model_to_dict(model: BoostedModel):
                 "name": p.name,
                 "base_value": float(p.base_value),
                 "domain": {"lo": float(p.domain.lo), "hi": float(p.domain.hi)},
-                "trees": [{"eta": float(eta), "nodes": _tree_to_nodes(t)}
-                          for t, eta in p.trees],
+                "trees": _trees_to_columns(p.trees),
             }
             for p in model.params
         ],
@@ -63,27 +64,26 @@ def save(model: BoostedModel, path):
         fh.write(dumps(model))
 
 
-def _nodes_to_tree(nodes, n_features, where):
-    if not nodes:
-        raise ModelFormatError(f"{where}: nodes must be a nonempty array")
-    rows = []  # (feature, threshold, left, right, weight) per node
-    for k, node in enumerate(nodes):
-        at = f"{where}.nodes[{k}]"
-        if node.get("kind") == "split":
-            f = Fields(node, at, ModelFormatError, _SPLIT_KEYS, _SPLIT_KEYS)
-            rows.append((f.get("feature", "integer"), f.get("threshold", "number"),
-                         f.get("left", "integer"), f.get("right", "integer"), 0.0))
-        elif node.get("kind") == "leaf":
-            f = Fields(node, at, ModelFormatError, _LEAF_KEYS, _LEAF_KEYS)
-            rows.append((-1, 0.0, -1, -1, f.get("weight", "number")))
-        else:
-            raise ModelFormatError(f"{at}: kind must be 'split' or 'leaf'")
-    try:
-        tree = RegressionTree(*zip(*rows))
-        tree.validate_structure(n_features)
-    except (ValidationError, OverflowError) as exc:
+def _columns_to_trees(block, where):
+    """The (tree, eta) pairs of one trees object; BoostedModel checks their structure."""
+    f = Fields(block, where, ModelFormatError, _TREES_KEYS, _TREES_KEYS)
+    etas = f.items("eta", "number")
+    sizes = f.items("size", "integer")
+    if len(etas) != len(sizes):
+        raise ModelFormatError(f"{where}: {len(etas)} eta entries for {len(sizes)} trees")
+    columns = [f.items(key, kind) for key, kind in _NODE_COLUMNS]
+    for (key, _), column in zip(_NODE_COLUMNS, columns):
+        if len(column) != sum(sizes):
+            raise ModelFormatError(f"{where}.{key}: {len(column)} entries, "
+                                   f"but the sizes sum to {sum(sizes)}")
+    try:  # every column converted once, then cut into one view per tree
+        nodes = RegressionTree(*columns)
+    except OverflowError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
-    return tree
+    columns = [getattr(nodes, key) for key, _ in _NODE_COLUMNS]
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return [(RegressionTree(*(c[end - size:end] for c in columns)), eta)
+            for eta, size, end in zip(etas, sizes, ends)]
 
 
 def model_from_dict(doc):
@@ -113,20 +113,18 @@ def model_from_dict(doc):
             domain = ParameterDomain(d.get("lo", "number"), d.get("hi", "number"))
         except ValidationError as exc:
             raise ModelFormatError(f"{where}.domain: {exc}") from None
-        trees = []
-        for k, entry in enumerate(b.items("trees", "object")):
-            t = Fields(entry, f"{where}.trees[{k}]", ModelFormatError, _TREE_KEYS, _TREE_KEYS)
-            trees.append((_nodes_to_tree(t.items("nodes", "object"), len(feature_names),
-                                         f"{where}.trees[{k}]"),
-                          t.get("eta", "number")))
         params.append(ParamEnsemble(b.get("name", "string"), b.get("base_value", "number"),
-                                    domain, trees))
+                                    domain, _columns_to_trees(b.get("trees", "object"),
+                                                              f"{where}.trees")))
     names = tuple(p.name for p in params)
     if names != loss.param_names:
         raise ModelFormatError(
             f"loss '{loss_name}' has parameter(s) {', '.join(loss.param_names)} "
             f"but the model has {', '.join(names) or 'none'}")
-    return BoostedModel(loss_name, loss.nuisance, feature_names, params)
+    try:
+        return BoostedModel(loss_name, loss.nuisance, feature_names, params)
+    except ValidationError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def load(path):

@@ -15,18 +15,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-
-
-class GradPair(NamedTuple):
-    """Summed first-order statistic and clipped second-order statistic."""
-
-    g: float
-    h_eff: float
 
 
 @dataclass(frozen=True)
@@ -69,15 +61,6 @@ def leaf_score(sum_g, sum_h_eff, a, lambda_reg):
     return sum_g * sum_g / _denominator(sum_h_eff, a, lambda_reg)
 
 
-def split_gain(left: GradPair, right: GradPair, params: TreeParams):
-    """Objective reduction of a candidate split, net of the per-leaf penalty."""
-    a, lam = params.a, params.lambda_reg
-    pooled = leaf_score(left.g + right.g, left.h_eff + right.h_eff, a, lam)
-    return 0.5 * (leaf_score(left.g, left.h_eff, a, lam)
-                  + leaf_score(right.g, right.h_eff, a, lam)
-                  - pooled) - params.gamma_reg
-
-
 class RegressionTree:
     """Immutable binary regression tree over dense feature vectors.
 
@@ -89,7 +72,8 @@ class RegressionTree:
 
     root = 0
 
-    def __init__(self, feature, threshold, left, right, weight, roots=0):
+    def __init__(self, feature, threshold, left, right, weight, roots=0, first=0):
+        self.first = first  # the number of the first tree in error messages
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.int32)
@@ -101,17 +85,21 @@ class RegressionTree:
             arr.setflags(write=False)
 
     @classmethod
-    def stack(cls, trees, scales):
+    def stack(cls, trees, scales, first=0):
         """Pack trees into one set of node arrays, one root per tree in order.
 
-        Tree t's leaf weights are multiplied by scales[t].
+        Tree t's leaf weights are multiplied by scales[t].  Error messages
+        number the trees from `first`.
         """
-        roots = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
-        return cls(*(np.concatenate(parts) for parts in (
-            [t.feature for t in trees], [t.threshold for t in trees],
-            [np.where(t.left >= 0, t.left + r, -1) for t, r in zip(trees, roots)],
-            [np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)],
-            [t.weight * s for t, s in zip(trees, scales)])), roots)
+        sizes = [t.n_nodes for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+        feature, threshold, left, right, weight = (
+            np.concatenate([getattr(t, key) for t in trees])
+            for key in ("feature", "threshold", "left", "right", "weight"))
+        return cls(feature, threshold, np.where(left >= 0, left + offset, -1),
+                   np.where(right >= 0, right + offset, -1),
+                   weight * np.repeat(scales, sizes), roots, first)
 
     @property
     def n_nodes(self):
@@ -121,32 +109,52 @@ class RegressionTree:
     def n_leaves(self):
         return int(np.sum(self.feature < 0))
 
+    def _name(self, i):
+        """Node i, named by its tree and its index within that tree."""
+        roots = self.roots.reshape(-1)
+        k = int(np.searchsorted(roots, i, side="right")) - 1
+        return f"tree {self.first + k} node {i - roots[k]}"
+
     @functools.cached_property
     def depth(self):
         """Level of the deepest leaf below its root (0 for a lone leaf).
 
-        Raises ValidationError unless every node is listed exactly once among
-        the roots and the split children, as in proper binary trees; the
-        level walk from the roots then ends, and must meet every node.
+        Raises ValidationError unless every tree has a node, both children
+        of every split lie in the split's own tree, and every node is listed
+        exactly once among the roots and the split children, as in proper
+        binary trees; the level walk from the roots then ends, and must
+        meet every node.
         """
         n, split = self.n_nodes, self.feature >= 0
-        ids = np.concatenate([self.roots.reshape(-1), self.left[split], self.right[split]])
-        if np.any((ids < 0) | (ids >= n)):
-            raise ValidationError("node id out of range")
-        listed = np.bincount(ids, minlength=n)
-        if np.any(listed > 1):
-            raise ValidationError(f"node {int(np.argmax(listed > 1))} is listed twice "
-                                  "(cycle or shared child)")
-        level, depth, reached = self.roots.reshape(-1), 0, 0
+        roots = self.roots.reshape(-1)
+        ends = np.concatenate([roots[1:], [n]])
+        if (roots >= ends).any():
+            raise ValidationError(f"tree {self.first + int(np.argmax(roots >= ends))} "
+                                  "has no nodes")
+        parents = np.flatnonzero(split)
+        tree = np.searchsorted(roots, parents, side="right") - 1
+        lo, hi = roots[tree], ends[tree]
+        left, right = self.left[parents], self.right[parents]
+        outside = (left < lo) | (left >= hi) | (right < lo) | (right >= hi)
+        if outside.any():
+            raise ValidationError(f"{self._name(parents[np.argmax(outside)])} "
+                                  "has a child outside its tree")
+        listed = np.bincount(np.concatenate([roots, left, right]), minlength=n)
+        if (listed > 1).any():
+            raise ValidationError(f"{self._name(int(np.argmax(listed > 1)))} is listed "
+                                  "twice (cycle or shared child)")
+        reached = np.zeros(n, dtype=bool)
+        level, depth = roots, 0
         while True:
-            reached += level.size
+            reached[level] = True
             level = level[split[level]]
             if not level.size:
                 break
             level = np.concatenate([self.left[level], self.right[level]])
             depth += 1
-        if reached < n:
-            raise ValidationError("unreachable nodes in tree")
+        if not reached.all():
+            raise ValidationError(f"{self._name(int(np.argmin(reached)))} is unreachable "
+                                  "from its root")
         return depth
 
     @functools.cached_property
@@ -184,15 +192,18 @@ class RegressionTree:
         return self.weight[self._leaves(np.asarray(X, dtype=np.float64))]
 
     def validate_structure(self, n_features):
-        """Reject node graphs that are not a proper binary tree."""
+        """Reject node graphs that are not proper binary trees, and nodes
+        that cannot route a row or give a finite prediction."""
         self.depth  # the level walk raises on a malformed node graph
         split = self.feature >= 0
         for bad, what in (
-                (split & (self.feature >= n_features), "splits on unknown feature"),
+                ((self.feature < -1) | (self.feature >= n_features),
+                 "splits on unknown feature"),
+                (~split & ((self.left != -1) | (self.right != -1)), "is a leaf with children"),
                 (split & ~np.isfinite(self.threshold), "has non-finite threshold"),
                 (~split & ~np.isfinite(self.weight), "is a leaf with non-finite weight")):
             if bad.any():
-                raise ValidationError(f"node {np.flatnonzero(bad)[0]} {what}")
+                raise ValidationError(f"{self._name(int(np.argmax(bad)))} {what}")
 
 
 def presort_features(X):

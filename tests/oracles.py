@@ -3,10 +3,14 @@
 Everything here is deliberately written the most straightforward way
 (plain Python loops, explicit candidate enumeration, no code shared with
 the package) so the engine is checked against implementations that cannot
-share its bugs.  The exception is ref_build_tree_scan, a frozen copy of the
-package's earlier builder that pins the current one to the same trees, bit
-for bit; it uses the package's leaf formulas, presort and tree class.
+share its bugs.  The exceptions are split_gain, which combines the
+package's leaf_score so that its tests check that formula, and
+ref_build_tree_scan, a frozen copy of the package's earlier builder that
+pins the current one to the same trees, bit for bit; it uses the package's
+leaf formulas, presort and tree class.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +21,22 @@ from distboost.tree import (RegressionTree, TreeParams, leaf_score, leaf_weight,
 
 def central_diff(f, x, step):
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+class GradPair(NamedTuple):
+    """Summed first-order statistic and clipped second-order statistic."""
+
+    g: float
+    h_eff: float
+
+
+def split_gain(left: GradPair, right: GradPair, params: TreeParams):
+    """Objective reduction of a candidate split, net of the per-leaf penalty."""
+    a, lam = params.a, params.lambda_reg
+    pooled = leaf_score(left.g + right.g, left.h_eff + right.h_eff, a, lam)
+    return 0.5 * (leaf_score(left.g, left.h_eff, a, lam)
+                  + leaf_score(right.g, right.h_eff, a, lam)
+                  - pooled) - params.gamma_reg
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,21 @@ def test_gen_rows_beyond_memory_exit_2(tmp_path, capsys):
     assert code == 2 and "--n 100000000000" in err
 
 
+def test_gen_negative_seed_exit_2(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"cuts": [[], []], "cells": [[{"mu": 1.0, "alpha": 2.0}]]}))
+    code, err = _run(["gen", "--dist", "gamma", "--n", "10", "--seed", "-1",
+                      "--params", str(params), "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 2 and "seed must be >= 0, got -1" in err
+
+
+def test_check_loss_grid_beyond_memory_exit_2(capsys):
+    # numpy refuses the 745 GiB grid before allocating any of it
+    code, err = _run(["check-loss", "--loss", "gamma", "--nuisance", '{"alpha": 5}',
+                      "--y-samples", "1,2", "--grid", "100000000000"], capsys)
+    assert code == 2 and "--grid 100000000000" in err
+
+
 def test_check_loss_pass_and_fail(capsys):
     assert main(["check-loss", "--loss", "gamma", "--nuisance",
                  '{"alpha": 5}', "--y-samples", "0.1,4,100"]) == 0
@@ -324,8 +339,7 @@ def _trained_gamma_model(tmp_path, capsys, **overrides):
 
 def test_malformed_model_fields_exit_2(tmp_path, capsys):
     data, doc = _trained_gamma_model(tmp_path, capsys)
-    split = next(n for n in doc["params"][0]["trees"][0]["nodes"] if n["kind"] == "split")
-    split["feature"] = "a"
+    doc["params"][0]["trees"]["feature"][0] = "a"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, err = _run(["predict", "--model", str(bad), "--data", data,
@@ -340,15 +354,42 @@ def test_malformed_model_fields_exit_2(tmp_path, capsys):
 
 def test_model_with_shared_child_exit_2(tmp_path, capsys):
     data, doc = _trained_gamma_model(tmp_path, capsys)
-    doc["params"][0]["trees"][0]["nodes"] = [
-        {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 1},
-        {"kind": "leaf", "weight": 1.0},
-        {"kind": "leaf", "weight": 2.0}]
+    doc["params"][0]["trees"] = {
+        "eta": [0.1], "size": [3], "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+        "left": [1, -1, -1], "right": [1, -1, -1], "weight": [0.0, 1.0, 2.0]}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, err = _run(["predict", "--model", str(bad), "--data", data,
                       "--out", str(tmp_path / "p.csv")], capsys)
-    assert code == 2 and "listed twice" in err
+    assert code == 2 and "tree 0 node 1 is listed twice" in err
+
+
+def _child_into_next_tree(trees):
+    assert trees["feature"][0] >= 0 and len(trees["size"]) > 1
+    trees["left"][0] = trees["size"][0]  # tree-local index of tree 1's root
+
+
+@pytest.mark.parametrize("defect, named", [
+    pytest.param(_child_into_next_tree,
+                 "params[0].trees: tree 0 node 0 has a child outside its tree",
+                 id="child-in-next-tree"),
+    pytest.param(lambda trees: trees["size"].__setitem__(0, trees["size"][0] + 1),
+                 "entries, but the sizes sum to", id="sizes-miss-column-length"),
+    pytest.param(lambda trees: trees["weight"].append(1.0),
+                 "params[0].trees.weight: ", id="columns-differ-in-length"),
+    pytest.param(lambda trees: trees["eta"].pop(),
+                 "params[0].trees: 2 eta entries for 3 trees", id="eta-count-not-tree-count"),
+    pytest.param(lambda trees: trees["left"].__setitem__(trees["feature"].index(-1), 0),
+                 "is a leaf with children", id="leaf-with-child"),
+])
+def test_model_with_column_defects_exit_2(tmp_path, capsys, defect, named):
+    data, doc = _trained_gamma_model(tmp_path, capsys)
+    defect(doc["params"][0]["trees"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(["predict", "--model", str(bad), "--data", data,
+                      "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 2 and named in err
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

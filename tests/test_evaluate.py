@@ -105,25 +105,3 @@ def test_nll_score_reports_nonfinite_row():
 
     with pytest.raises(NumericError, match="row 0"):
         db.nll_score(model, Overflow(), ds)
-
-
-def test_compare_ranks_and_ties():
-    r1 = db.EvalReport("model-b", "ds|n=5|abc", 10.0, 2.0, 5)
-    r2 = db.EvalReport("model-a", "ds|n=5|abc", 9.5, 1.9, 5)
-    ranked = db.compare([r1, r2])
-    assert [e.report.model_id for e in ranked] == ["model-a", "model-b"]
-    assert [e.rank for e in ranked] == [1, 2]
-    assert not any(e.tied for e in ranked)
-
-    r3 = db.EvalReport("model-c", "ds|n=5|abc", 10.0, 2.0, 5)
-    ranked2 = db.compare([r1, r3, r2])
-    assert [e.report.model_id for e in ranked2] == ["model-a", "model-b", "model-c"]
-    assert ranked2[1].tied and ranked2[2].tied
-    assert not ranked2[0].tied
-
-
-def test_compare_rejects_different_datasets():
-    r1 = db.EvalReport("a", "ds1|n=5|x", 10.0, 2.0, 5)
-    r2 = db.EvalReport("b", "ds2|n=5|y", 9.0, 1.8, 5)
-    with pytest.raises(ValidationError, match="different datasets"):
-        db.compare([r1, r2])

@@ -5,7 +5,7 @@ import pytest
 
 import distboost as db
 from distboost import model_io
-from distboost.errors import ModelFormatError
+from distboost.errors import ModelFormatError, ValidationError
 
 
 def _trained_model(n_params=1):
@@ -55,7 +55,8 @@ def test_zero_tree_model_round_trip(tmp_path):
     db.save(model, path)
     doc = json.loads(open(path).read())
     assert [p["name"] for p in doc["params"]] == ["beta", "gamma"]
-    assert all(p["trees"] == [] for p in doc["params"])
+    assert all(p["trees"] == {"eta": [], "size": [], "feature": [], "threshold": [],
+                              "left": [], "right": [], "weight": []} for p in doc["params"])
     loaded = db.load(path)
     assert loaded.predict([0.1, 0.2]) == (1.5, 2.0)
 
@@ -65,8 +66,13 @@ def test_two_param_blocks_in_index_order(tmp_path):
     path = str(tmp_path / "m.json")
     db.save(model, path)
     doc = json.loads(open(path).read())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert [p["name"] for p in doc["params"]] == ["beta", "gamma"]
+    for block, param in zip(doc["params"], model.params):
+        trees = block["trees"]
+        assert trees["size"] == [t.n_nodes for t, _ in param.trees]
+        assert all(len(trees[key]) == sum(trees["size"])
+                   for key in ("feature", "threshold", "left", "right", "weight"))
 
 
 def test_unknown_format_version_is_a_version_error(tmp_path):
@@ -77,11 +83,19 @@ def test_unknown_format_version_is_a_version_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="format_version"):
         db.load(str(path))
+    # the per-node layout of version 1 has no reader
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError,
+                       match="unsupported format_version 1; this build reads 2"):
+        db.load(str(path))
 
 
-def test_cycle_in_nodes_rejected(tmp_path):
-    doc = {
-        "format_version": 1,
+def _one_tree_doc(feature, left, right):
+    """A squared-error model whose one tree has the given columns."""
+    n = len(feature)
+    return {
+        "format_version": 2,
         "loss_name": "squared_error",
         "nuisance": {},
         "feature_names": ["x1"],
@@ -89,28 +103,46 @@ def test_cycle_in_nodes_rejected(tmp_path):
             "name": "theta",
             "base_value": 0.0,
             "domain": {"lo": -1.0, "hi": 1.0},
-            "trees": [{"eta": 0.1, "nodes": [
-                {"kind": "split", "feature": 0, "threshold": 0.5,
-                 "left": 0, "right": 1},
-                {"kind": "leaf", "weight": 1.0},
-            ]}],
+            "trees": {"eta": [0.1], "size": [n], "feature": feature,
+                      "threshold": [0.5] * n, "left": left, "right": right,
+                      "weight": [1.0] * n},
         }],
     }
+
+
+def test_cycle_in_nodes_rejected(tmp_path):
+    # node 0 is its own left child
+    doc = _one_tree_doc([0, -1], [0, -1], [1, -1])
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="twice|cycle"):
         db.load(str(path))
 
 
+def test_structure_errors_name_parameter_tree_and_local_node(tmp_path):
+    doc = model_io.model_to_dict(_trained_model(n_params=2))
+    trees = doc["params"][1]["trees"]
+    k = max(k for k, size in enumerate(trees["size"]) if size > 1)
+    start = sum(trees["size"][:k])
+    assert trees["feature"][start] >= 0
+    trees["right"][start] = trees["left"][start]
+    with pytest.raises(ModelFormatError, match=(
+            rf"params\[1\]\.trees: tree {k} node {trees['left'][start]} is listed twice")):
+        db.load(_write(tmp_path, doc))
+
+
+def test_models_built_in_memory_are_validated():
+    wide = db.RegressionTree([1, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                             [0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match=r"params\[0\]\.trees: tree 0 node 0 "
+                                              "splits on unknown feature"):
+        db.BoostedModel("squared_error", {}, ("x1",), [
+            db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0), [(wide, 0.1)])])
+
+
 def test_unknown_loss_name_rejected(tmp_path):
-    doc = {
-        "format_version": 1,
-        "loss_name": "mystery",
-        "nuisance": {},
-        "feature_names": ["x1"],
-        "params": [{"name": "theta", "base_value": 0.0,
-                    "domain": {"lo": -1.0, "hi": 1.0}, "trees": []}],
-    }
+    doc = _one_tree_doc([-1], [-1], [-1])
+    doc["loss_name"] = "mystery"
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="unknown loss_name"):

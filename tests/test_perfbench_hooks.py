@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps distboost's public names; a rename must fail here."""
 
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
 
@@ -24,3 +26,11 @@ def test_tracer_install_then_uninstall_restores_every_original():
         t.uninstall()
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_selftest_passes():
+    # tiny runs of every workload: model bytes repeat across iterations and
+    # quotes equal the `cli predict` rows bitwise, among the harness's checks
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

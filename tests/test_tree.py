@@ -33,11 +33,13 @@ def test_leaf_score_examples():
 
 def test_split_gain_examples():
     params = db.TreeParams(gamma_reg=0.0, lambda_reg=1.0, a=0.5)
-    gain = db.split_gain(db.GradPair(1.0, 1.0), db.GradPair(-1.0, 1.0), params)
+    gain = oracles.split_gain(oracles.GradPair(1.0, 1.0), oracles.GradPair(-1.0, 1.0),
+                              params)
     assert gain == pytest.approx(0.5, rel=1e-15)
     # proportional halves: children exactly reproduce the pooled score
     params2 = db.TreeParams(gamma_reg=0.25, lambda_reg=0.0, a=0.5)
-    gain2 = db.split_gain(db.GradPair(2.0, 2.0), db.GradPair(2.0, 2.0), params2)
+    gain2 = oracles.split_gain(oracles.GradPair(2.0, 2.0), oracles.GradPair(2.0, 2.0),
+                               params2)
     assert gain2 == pytest.approx(0.5 * (2.0 + 2.0 - 4.0) - 0.25, rel=1e-15)
 
 
@@ -148,9 +150,9 @@ def test_every_split_has_positive_gain():
         f, t = int(tree.feature[nid]), float(tree.threshold[nid])
         mask = X[rows, f] < t
         L, R = rows[mask], rows[~mask]
-        gain = db.split_gain(
-            db.GradPair(float(g[L].sum()), float(h[L].sum())),
-            db.GradPair(float(g[R].sum()), float(h[R].sum())), params)
+        gain = oracles.split_gain(
+            oracles.GradPair(float(g[L].sum()), float(h[L].sum())),
+            oracles.GradPair(float(g[R].sum()), float(h[R].sum())), params)
         assert gain > 0.0
         check(int(tree.left[nid]), L)
         check(int(tree.right[nid]), R)
