@@ -46,15 +46,8 @@ def clip_gradient(g, m):
     return _like_input(np.where(np.isnan(g), m, np.clip(g, -m, m)))
 
 
-def effective_hessian(h, a=0.5):
-    """Clipped second-order statistic max(0, h); non-finite maps to 0.
-
-    The blend weight a is validated here but applied inside the leaf
-    formulas, not to the returned statistic.
-    """
-    a = float(a)
-    if not (math.isfinite(a) and 0.0 <= a <= 0.5):
-        raise ValidationError("a must lie in [0, 1/2]")
+def effective_hessian(h):
+    """Clipped second-order statistic max(0, h); non-finite maps to 0."""
     h = np.asarray(h, dtype=np.float64)
     return _like_input(np.where(np.isfinite(h), np.maximum(h, 0.0), 0.0))
 
@@ -79,7 +72,7 @@ class ParamTrainConfig:
     to the master round count).  interval/offset schedule the parameter:
     it trains on 0-based round indices t with t >= offset and
     (t - offset) % interval == 0.  domain/base_value override the loss's
-    data-derived defaults.
+    data-derived defaults.  `train` checks the rules that need the loss.
     """
 
     eta: float = 0.1
@@ -91,13 +84,8 @@ class ParamTrainConfig:
     domain: ParameterDomain | None = None
     base_value: float | None = None
 
-    @property
-    def a(self):
-        return self.tree.a
-
-    def validate(self):
-        if not (0.0 < self.eta <= 1.0):
-            raise ValidationError(f"eta must lie in (0, 1], got {self.eta}")
+    def __post_init__(self):
+        _check_eta(self.eta)
         if self.rounds is not None and int(self.rounds) < 0:
             raise ValidationError("rounds cap must be >= 0")
         if not (math.isfinite(self.clip_m) and self.clip_m > 0):
@@ -106,10 +94,14 @@ class ParamTrainConfig:
             raise ValidationError("interval must be >= 1")
         if int(self.offset) < 0:
             raise ValidationError("offset must be >= 0")
-        if self.tree.a == 0.0 and self.tree.lambda_reg <= 0.0:
-            raise ValidationError("lambda_reg must be > 0 when a = 0")
         if self.base_value is not None and not math.isfinite(self.base_value):
             raise ValidationError("base_value override must be finite")
+
+
+def _check_eta(eta, where=""):
+    """Training's rule for a learning rate, also applied to loaded trees."""
+    if not 0.0 < eta <= 1.0:
+        raise ValidationError(f"{where}eta must lie in (0, 1], got {eta}")
 
 
 @dataclass
@@ -140,6 +132,8 @@ class BoostedModel:
         # per parameter, validated once: base value as one-leaf tree -1, then trees shrunk by eta
         self._stacks = []
         for j, p in enumerate(self.params):
+            for k, (_, eta) in enumerate(p.trees):
+                _check_eta(eta, f"params[{j}].trees: tree {k} ")
             stack = RegressionTree.stack([_LEAF_TREE] + [t for t, _ in p.trees],
                                          [p.base_value] + [eta for _, eta in p.trees], -1)
             try:
@@ -229,11 +223,18 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
     if len(configs) != l:
         raise ValidationError(
             f"loss '{loss.name}' has {l} parameter(s) but {len(configs)} config blocks given")
-    for cfg in configs:
-        cfg.validate()
     loss.validate_response(ds.response)
 
     defaults = loss.default_domains(ds)
+    # the rules that need the loss, checked once, before the first tree
+    for name, cfg, default in zip(loss.param_names, configs, defaults):
+        if cfg.tree.lambda_reg == 0.0 and not (cfg.tree.a > 0.0 and loss.hess_positive):
+            raise ValidationError(f"parameter '{name}': lambda_reg = 0 needs a > 0 and a "
+                                  "loss whose hessian is positive everywhere (got a = "
+                                  f"{cfg.tree.a}, loss '{loss.name}')")
+        if cfg.domain is not None and default.lo > 0 and cfg.domain.lo <= 0:
+            raise ValidationError(f"parameter '{name}': domain [{cfg.domain.lo}, "
+                                  f"{cfg.domain.hi}] must stay above 0 for '{loss.name}'")
     domains = [cfg.domain if cfg.domain is not None else defaults[j]
                for j, cfg in enumerate(configs)]
 
@@ -281,7 +282,7 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
             raw_g = loss.grad(j, theta_cols, y, expo, adj)
             raw_h = loss.hess(j, theta_cols, y, expo, adj)
             g = clip_gradient(raw_g, cfg.clip_m)
-            h = effective_hessian(raw_h, cfg.a)
+            h = effective_hessian(raw_h)
             assert np.all(np.abs(g) <= cfg.clip_m)
             # NaN compares unequal to everything, so these count exactly the
             # rows that clipping or zeroing changed

@@ -9,9 +9,9 @@ scripting: 0 ok, 2 validation, 3 runtime/numeric, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from . import booster, dataset, evaluate, losses, model_io
 from .errors import DistboostError, ValidationError
@@ -21,13 +21,16 @@ from .tree import TreeParams
 _TOP_KEYS = {"loss", "response_col", "exposure_col", "adjustment_col",
              "total_rounds", "seed", "holdout_fraction", "trace_path", "params"}
 _LOSS_KEYS = {"name", "nuisance"}
-_PARAM_KEYS = {"name", "eta", "rounds", "clip_m", "a", "gamma_reg", "lambda_reg",
-               "max_depth", "min_leaf_samples", "interval", "offset", "domain",
-               "base_value"}
+# parameter-block key -> JSON kind, one table per dataclass the block builds
+_TREE_KINDS = {"gamma_reg": "number", "lambda_reg": "number", "a": "number",
+               "max_depth": "integer", "min_leaf_samples": "integer"}
+_PARAM_KINDS = {"eta": "number", "rounds": "integer", "clip_m": "number",
+                "interval": "integer", "offset": "integer", "base_value": "number"}
+_PARAM_KEYS = {"name", "domain"} | _TREE_KINDS.keys() | _PARAM_KINDS.keys()
 _GEN_KEYS = {"cuts", "cells", "exposure_choices", "adjustment_choices"}
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     loss: losses.Loss
     response_col: str
@@ -40,35 +43,26 @@ class RunConfig:
     param_configs: list
 
 
+def _read_fields(f, kinds, cls):
+    """cls's arguments from the keys of f in kinds; null only where cls defaults to None."""
+    nullable = {x.name for x in dataclasses.fields(cls) if x.default is None}
+    return {key: f.get(key, kind, None) if key in nullable else f.get(key, kind)
+            for key, kind in kinds.items() if key in f.obj}
+
+
 def _param_config(block, where, name):
     f = Fields(block, where, ValidationError, _PARAM_KEYS)
     given = f.get("name", "string", None)
     if given is not None and given != name:
         raise ValidationError(f"{where}: name '{given}' != parameter '{name}'")
-    tree = TreeParams(
-        gamma_reg=f.get("gamma_reg", "number", 0.0),
-        lambda_reg=f.get("lambda_reg", "number", 1.0),
-        a=f.get("a", "number", 0.5),
-        max_depth=f.get("max_depth", "integer", 3),
-        min_leaf_samples=f.get("min_leaf_samples", "integer", 1),
-    )
+    args = _read_fields(f, _PARAM_KINDS, booster.ParamTrainConfig)
     domain = f.items("domain", "number", None)
     if domain is not None:
         if len(domain) != 2:
             raise ValidationError(f"{where}.domain: expected [lo, hi]")
-        domain = losses.ParameterDomain(*domain)
-    cfg = booster.ParamTrainConfig(
-        eta=f.get("eta", "number", 0.1),
-        rounds=f.get("rounds", "integer", None),
-        clip_m=f.get("clip_m", "number", 1e4),
-        tree=tree,
-        interval=f.get("interval", "integer", 1),
-        offset=f.get("offset", "integer", 0),
-        domain=domain,
-        base_value=f.get("base_value", "number", None),
-    )
-    cfg.validate()
-    return cfg
+        args["domain"] = losses.ParameterDomain(*domain)
+    return booster.ParamTrainConfig(
+        tree=TreeParams(**_read_fields(f, _TREE_KINDS, TreeParams)), **args)
 
 
 def parse_run_config(doc):

@@ -122,13 +122,13 @@ class Dataset:
 def read_table(path):
     """Read a headered all-numeric CSV into (column names, (n, k) array).
 
-    The format is deliberately narrow: UTF-8, comma-separated, first row is
-    the header, every cell a finite decimal number (optional exponent).  No
-    quoting or escaping.  Cell errors report the file line number (the
-    header is line 1) and the column name.
+    The format is deliberately narrow: UTF-8 with an optional byte-order
+    mark, comma-separated, first row is the header, every cell a finite
+    decimal number (optional exponent).  No quoting or escaping.  Cell errors
+    report the file line number (the header is line 1) and the column name.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None

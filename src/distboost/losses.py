@@ -77,6 +77,9 @@ class Loss:
 
     name = ""
     param_names: tuple = ()
+    # True only when hess(j, ...) > 0 for every parameter, theta and response;
+    # then a leaf's denominator stays positive with lambda_reg = 0 and a > 0
+    hess_positive = False
 
     def __init__(self, nuisance=None):
         self.nuisance = dict(nuisance or {})
@@ -171,6 +174,7 @@ class SquaredError(Loss):
 
     name = "squared_error"
     param_names = ("theta",)
+    hess_positive = True
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
         (th,) = self._theta_arrays(theta)
@@ -443,24 +447,12 @@ class DoubleWell(Loss):
         return (ParameterDomain(-3.0, 3.0),)
 
 
-def squared_error():
-    return SquaredError()
-
-
-def gamma_nll(alpha):
-    return GammaNLL(alpha)
-
-
-def zip_nll(alpha):
-    return ZipNLL(alpha)
-
-
-def negbin_nll():
-    return NegBinNLL()
-
-
-def double_well():
-    return DoubleWell()
+# factory names of the public API
+squared_error = SquaredError
+gamma_nll = GammaNLL
+zip_nll = ZipNLL
+negbin_nll = NegBinNLL
+double_well = DoubleWell
 
 
 _REGISTRY = {

@@ -42,8 +42,6 @@ def test_effective_hessian():
     assert db.effective_hessian(float("nan")) == 0.0
     assert db.effective_hessian(float("inf")) == 0.0
     assert db.effective_hessian(0.0) == 0.0
-    with pytest.raises(ValidationError):
-        db.effective_hessian(1.0, a=0.7)
 
 
 def test_clamp_to_domain():
@@ -66,25 +64,94 @@ def test_clamp_always_lands_inside(x, lo, width):
 # config validation
 
 def test_config_validation():
-    db.ParamTrainConfig().validate()
+    db.ParamTrainConfig()
     with pytest.raises(ValidationError):
-        db.ParamTrainConfig(eta=0.0).validate()
+        db.ParamTrainConfig(eta=0.0)
     with pytest.raises(ValidationError):
-        db.ParamTrainConfig(eta=1.5).validate()
+        db.ParamTrainConfig(eta=1.5)
     with pytest.raises(ValidationError):
-        db.ParamTrainConfig(clip_m=0.0).validate()
+        db.ParamTrainConfig(clip_m=0.0)
     with pytest.raises(ValidationError):
-        db.ParamTrainConfig(interval=0).validate()
+        db.ParamTrainConfig(interval=0)
     with pytest.raises(ValidationError):
-        db.ParamTrainConfig(offset=-1).validate()
-    with pytest.raises(ValidationError):
-        db.ParamTrainConfig(tree=db.TreeParams(a=0.0, lambda_reg=0.0)).validate()
+        db.ParamTrainConfig(offset=-1)
+    # a = 0 with lambda_reg = 0 is a rule of the loss, checked when train starts
+    cfg = db.ParamTrainConfig(tree=db.TreeParams(a=0.0, lambda_reg=0.0))
+    with pytest.raises(ValidationError, match="parameter 'theta': lambda_reg = 0"):
+        db.train(db.Dataset([[0.0]], [4.0]), db.squared_error(), [cfg], 1)
 
 
 def test_train_rejects_arity_mismatch():
     ds = db.Dataset([[0.0]], [4.0])
     with pytest.raises(ValidationError, match="config blocks"):
         db.train(ds, db.negbin_nll(), [db.ParamTrainConfig()], 1)
+
+
+def _count_build_tree(monkeypatch):
+    from distboost import booster
+    calls = []
+    original = booster.build_tree
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(booster, "build_tree", counting)
+    return calls
+
+
+def _gamma_ds():
+    return db.generate_synthetic("gamma", 200, 7,
+                                 lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 6.0),
+                                            "alpha": 5.0})
+
+
+def _zip_ds():
+    return db.generate_synthetic("zip", 200, 7,
+                                 lambda X: {"mu": np.where(X[:, 0] < 0.5, 0.5, 2.0),
+                                            "alpha": 0.5})
+
+
+@pytest.mark.parametrize("loss,ds,lo", [(db.gamma_nll(5.0), _gamma_ds(), -5.0),
+                                        (db.zip_nll(0.5), _zip_ds(), -1.0)],
+                         ids=["gamma", "zip"])
+def test_domain_reaching_zero_rejected_before_the_first_tree(monkeypatch, loss, ds, lo):
+    calls = _count_build_tree(monkeypatch)
+    db.train(ds, loss, [db.ParamTrainConfig(domain=db.ParameterDomain(1e-3, 50.0))], 1)
+    assert calls == [1]
+    calls.clear()
+    cfg = db.ParamTrainConfig(domain=db.ParameterDomain(lo, 50.0))
+    with pytest.raises(ValidationError,
+                       match=rf"parameter 'mu': domain \[{lo}, 50.0\] must stay above 0"):
+        db.train(ds, loss, [cfg], 5)
+    assert calls == []
+
+
+def test_squared_error_domain_may_span_zero():
+    ds = db.Dataset([[0.0], [1.0]], [-1.0, 1.0])
+    cfg = db.ParamTrainConfig(domain=db.ParameterDomain(-5.0, 5.0))
+    assert len(db.train(ds, db.squared_error(), [cfg], 2).trace) == 2
+
+
+@pytest.mark.parametrize("loss,ds,base", [
+    (db.gamma_nll(5.0), _gamma_ds(), (50.0,)),
+    (db.zip_nll(0.5), _zip_ds(), (None,)),
+    (db.negbin_nll(), db.generate_synthetic("negbin", 200, 7,
+                                            lambda X: {"beta": 1.0, "gamma": 2.0}),
+     (None, None)),
+], ids=["gamma", "zip", "negbin"])
+def test_lambda_zero_rejected_before_the_first_tree_unless_hessian_positive(
+        monkeypatch, loss, ds, base):
+    # gamma from mu = 50 starts where its curvature is negative on every row:
+    # with lambda_reg = 0 each leaf's denominator would be 0 in round 1
+    calls = _count_build_tree(monkeypatch)
+    cfgs = [db.ParamTrainConfig(base_value=b, tree=db.TreeParams(lambda_reg=0.0))
+            for b in base]
+    name = loss.param_names[0]
+    with pytest.raises(ValidationError, match=rf"parameter '{name}': lambda_reg = 0 "
+                                              rf"needs a > 0 and a loss whose hessian"):
+        db.train(ds, loss, cfgs, 5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +345,7 @@ def test_training_is_bit_deterministic():
 class _BlowupLoss(db.Loss):
     name = "blowup"
     param_names = ("theta",)
+    hess_positive = True
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
         th = np.asarray(theta[0], dtype=np.float64)

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import distboost as db
-from distboost.cli import main
+from distboost.cli import main, parse_run_config
 
 
 def _gamma_csv(tmp_path, n=400, seed=1):
@@ -84,6 +84,36 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
     assert main(["train", "--data", data, "--config", unknown,
                  "--out", model]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_empty_param_blocks_take_the_dataclass_defaults():
+    for loss, nuisance, n in (("gamma", {"alpha": 5.0}, 1), ("negbin", {}, 2)):
+        config = parse_run_config({"loss": {"name": loss, "nuisance": nuisance},
+                                   "total_rounds": 1, "params": [{}] * n})
+        assert config.param_configs == [db.ParamTrainConfig()] * n
+    # null is the default only where the default is null
+    config = parse_run_config({"loss": {"name": "gamma", "nuisance": {"alpha": 5.0}},
+                               "total_rounds": 1,
+                               "params": [{"rounds": None, "domain": None,
+                                           "base_value": None}]})
+    assert config.param_configs == [db.ParamTrainConfig()]
+    with pytest.raises(db.ValidationError, match=r"config.params\[0\].eta: expected a "
+                                                 "finite number, got None"):
+        parse_run_config({"loss": {"name": "gamma", "nuisance": {"alpha": 5.0}},
+                          "total_rounds": 1, "params": [{"eta": None}]})
+
+
+@pytest.mark.parametrize("block, named", [
+    ({"domain": [-5, 50]}, "parameter 'mu': domain [-5.0, 50.0] must stay above 0"),
+    ({"lambda_reg": 0, "base_value": 50}, "parameter 'mu': lambda_reg = 0 needs a > 0"),
+], ids=["domain-below-zero", "lambda-zero-concave-start"])
+def test_configs_that_would_fail_in_training_exit_2_up_front(tmp_path, capsys, block, named):
+    data = _gamma_csv(tmp_path)
+    config = _gamma_config(tmp_path, params=[block])
+    code, err = _run(["train", "--data", data, "--config", config,
+                      "--out", str(tmp_path / "m.json")], capsys)
+    assert code == 2 and named in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_missing_response_column_exit_2(tmp_path, capsys):
@@ -381,6 +411,16 @@ def _child_into_next_tree(trees):
                  "params[0].trees: 2 eta entries for 3 trees", id="eta-count-not-tree-count"),
     pytest.param(lambda trees: trees["left"].__setitem__(trees["feature"].index(-1), 0),
                  "is a leaf with children", id="leaf-with-child"),
+    pytest.param(lambda trees: trees["eta"].__setitem__(1, 0.0),
+                 "params[0].trees: tree 1 eta must lie in (0, 1], got 0.0", id="eta-zero"),
+    pytest.param(lambda trees: trees["eta"].__setitem__(1, -1.0),
+                 "params[0].trees: tree 1 eta must lie in (0, 1], got -1.0",
+                 id="eta-negative"),
+    # weight * eta would overflow; the eta is at fault, not the finite weight
+    pytest.param(lambda trees: (trees["eta"].__setitem__(0, 1e300),
+                                trees["weight"].__setitem__(trees["feature"].index(-1), 1e300)),
+                 "params[0].trees: tree 0 eta must lie in (0, 1], got 1e+300",
+                 id="eta-huge-on-huge-weight"),
 ])
 def test_model_with_column_defects_exit_2(tmp_path, capsys, defect, named):
     data, doc = _trained_gamma_model(tmp_path, capsys)

@@ -26,6 +26,10 @@ def test_load_csv_basic(tmp_path):
     assert np.array_equal(ds.response, [3.0, 6.0, 9.0])
     assert np.array_equal(ds.exposure, [1.0, 1.0, 1.0])
     assert np.array_equal(ds.adjustment, [1.0, 1.0, 1.0])
+    # a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is skipped
+    bom = _write(tmp_path, "\ufeffx1,x2,y\n1,2,3\n4,5,6\n7,8,9\n", "bom.csv")
+    assert db.read_table(bom)[0] == ["x1", "x2", "y"]
+    assert np.array_equal(db.load_csv(bom, "y").features, ds.features)
 
 
 def test_load_csv_exposure_passthrough(tmp_path):

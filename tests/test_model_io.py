@@ -138,6 +138,12 @@ def test_models_built_in_memory_are_validated():
                                               "splits on unknown feature"):
         db.BoostedModel("squared_error", {}, ("x1",), [
             db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0), [(wide, 0.1)])])
+    leaf = db.RegressionTree([-1], [0.0], [-1], [-1], [1.0])
+    with pytest.raises(ValidationError, match=r"params\[0\]\.trees: tree 1 eta must lie "
+                                              r"in \(0, 1\], got 1.5"):
+        db.BoostedModel("squared_error", {}, ("x1",), [
+            db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0),
+                             [(leaf, 0.1), (leaf, 1.5)])])
 
 
 def test_unknown_loss_name_rejected(tmp_path):
