@@ -57,12 +57,15 @@ def _param_config(block, where, name):
         raise ValidationError(f"{where}: name '{given}' != parameter '{name}'")
     args = _read_fields(f, _PARAM_KINDS, booster.ParamTrainConfig)
     domain = f.items("domain", "number", None)
-    if domain is not None:
-        if len(domain) != 2:
-            raise ValidationError(f"{where}.domain: expected [lo, hi]")
-        args["domain"] = losses.ParameterDomain(*domain)
-    return booster.ParamTrainConfig(
-        tree=TreeParams(**_read_fields(f, _TREE_KINDS, TreeParams)), **args)
+    if domain is not None and len(domain) != 2:
+        raise ValidationError(f"{where}.domain: expected [lo, hi]")
+    tree_args = _read_fields(f, _TREE_KINDS, TreeParams)
+    try:
+        if domain is not None:
+            args["domain"] = losses.ParameterDomain(*domain)
+        return booster.ParamTrainConfig(tree=TreeParams(**tree_args), **args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def parse_run_config(doc):

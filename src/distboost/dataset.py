@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .fields import typed, typed_items
+from .fields import read_text, typed, typed_items
 
 SYNTHETIC_DISTRIBUTIONS = ("gamma", "zip", "negbin")
 
@@ -119,6 +119,11 @@ class Dataset:
         return f"{self.source}|n={self.n_rows}|{self.fingerprint()[:16]}"
 
 
+# cells converted per block by read_table: one numpy conversion per block,
+# with the block's lists of cell strings as the only per-cell Python objects
+_PARSE_BUDGET = 1 << 14
+
+
 def read_table(path):
     """Read a headered all-numeric CSV into (column names, (n, k) array).
 
@@ -128,21 +133,49 @@ def read_table(path):
     report the file line number (the header is line 1) and the column name.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+        lines = read_text(path, DataError).splitlines()
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     if not lines:
         raise DataError(f"{path}: empty file (header row required)")
 
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines.pop(0).split(",")]
     if len(set(header)) != len(header):
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise DataError(f"{path}: duplicate column name(s): {', '.join(dupes)}")
 
+    # lines[i] is file line i + 2; blank lines are skipped
+    table = np.empty((len(lines) - lines.count(""), len(header)))
+    if not table.size:
+        raise DataError(f"{path}: no data rows")
+    step = max(1, _PARSE_BUDGET // len(header))
+    filled = 0
+    for lo in range(0, len(lines), step):
+        cells = [line.split(",") for line in lines[lo:lo + step] if line]
+        n = len(cells)
+        if not n:
+            continue
+        # numpy reads a str cell by float()'s rules, so only a block holding
+        # a defect needs the per-cell rescan that locates it; rebinding
+        # `cells` frees the block's strings before the next block is split
+        try:
+            cells = np.array(cells, dtype=np.float64)
+            ok = cells.shape == (n, len(header)) and np.isfinite(cells).all()
+        except ValueError:  # a bad cell, or rows of unequal length
+            ok = False
+        if not ok:
+            cells = _parse_lines(path, header, lines[lo:lo + step], lo + 2)
+        table[filled:filled + n] = cells
+        filled += n
+    return header, table
+
+
+def _parse_lines(path, header, lines, first):
+    """The non-blank lines, lines[0] being file line `first`, parsed cell by
+    cell; DataError names the line and column of the first bad cell."""
     n_cols = len(header)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first):
         if line == "":
             continue
         cells = line.split(",")
@@ -162,9 +195,7 @@ def read_table(path):
                 )
             parsed.append(v)
         rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+    return rows
 
 
 def bind_columns(path, header, columns):

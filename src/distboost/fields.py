@@ -1,5 +1,7 @@
 """Typed reads from JSON documents: run configs, generator specs and model files.
 
+`read_text` reads every input file, JSON or CSV, as UTF-8.
+
 Every failure raises the error class the caller names (ValidationError, or
 ModelFormatError for model files) with the path of the offending field, so
 a malformed document exits the CLI with code 2 and a message.
@@ -59,9 +61,21 @@ def parse_json(text, what, error):
         raise error(f"{what}: not valid JSON: {exc}") from None
 
 
+def read_text(path, error):
+    """A UTF-8 file's text as open() reads it, without a leading byte-order
+    mark; error names the file and the offset of a byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8: byte 0x{data[exc.start]:02x} "
+                    f"at offset {exc.start}") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_json(path, what, error):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_json(fh.read(), f"{what} {path}", error)
+    return parse_json(read_text(path, error), f"{what} {path}", error)
 
 
 class Fields:

@@ -358,6 +358,59 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, overrides, field):
     assert field in err
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"eta": 0}, "eta must lie in (0, 1], got 0.0"),
+    ({"domain": [5, 1]}, "invalid domain [5.0, 1.0]"),
+    ({"max_depth": 0}, "max_depth must be >= 1"),
+], ids=["eta", "domain", "max-depth"])
+def test_param_block_errors_name_the_block(tmp_path, capsys, block, message):
+    config = _gamma_config(tmp_path, loss={"name": "negbin", "nuisance": {}},
+                           params=[{}, block])
+    code, err = _run(["train", "--data", _gamma_csv(tmp_path, n=60), "--config", config,
+                      "--out", str(tmp_path / "m.json")], capsys)
+    assert code == 2 and err == f"error: config.params[1]: {message}\n"
+
+
+def _corrupt(path, offset):
+    """Overwrite the byte at offset with 0xff, which UTF-8 never uses."""
+    data = bytearray(open(path, "rb").read())
+    data[offset] = 0xFF
+    open(path, "wb").write(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("target", ["train-csv", "predict-csv", "config", "model"])
+def test_non_utf8_input_exits_2_naming_file_and_offset(tmp_path, capsys, target):
+    data = _gamma_csv(tmp_path, n=60)
+    config = _gamma_config(tmp_path, total_rounds=2)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--config", config, "--out", model]) == 0
+    capsys.readouterr()
+    bad = {"train-csv": data, "predict-csv": data, "config": config, "model": model}[target]
+    _corrupt(bad, 40)
+    if target in ("train-csv", "config"):
+        argv = ["train", "--data", data, "--config", config, "--out", str(tmp_path / "m2.json")]
+    else:
+        argv = ["predict", "--model", model, "--data", data, "--out", str(tmp_path / "p.csv")]
+    code, err = _run(argv, capsys)
+    assert code == 2 and err == f"error: {bad}: not valid UTF-8: byte 0xff at offset 40\n"
+
+
+def test_json_documents_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    data = _gamma_csv(tmp_path, n=60)
+    config = _gamma_config(tmp_path, total_rounds=2)
+    with open(config, "rb") as fh:
+        text = fh.read()
+    with open(config, "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" + text)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", data, "--config", config, "--out", model]) == 0
+    # offsets count the byte-order mark: they are offsets into the file
+    _corrupt(config, 10)
+    code, err = _run(["train", "--data", data, "--config", config, "--out", model], capsys)
+    assert code == 2 and err == f"error: {config}: not valid UTF-8: byte 0xff at offset 10\n"
+
+
 def _trained_gamma_model(tmp_path, capsys, **overrides):
     data = _gamma_csv(tmp_path, n=60)
     config = _gamma_config(tmp_path, total_rounds=3, **overrides)

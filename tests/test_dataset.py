@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,6 +122,124 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.adjustment, ds.adjustment)
     db.write_csv(loaded, second)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# read_table: block conversion against the per-cell rescan
+
+# cells float() accepts (padding, underscores, Unicode digits, subnormals,
+# overflow to inf, nan spellings) and cells it rejects (hex, double
+# underscores, empty, a bare exponent)
+_PROBES = [
+    "1", " 1 ", "\t2\t", "\xa01\xa0", " 1", "1_0", "1__0", "_1", "1_", "nan", "NaN",
+    "-nan", "inf", "-Infinity", "+inf", "infinity", "١٢٣", "１",
+    "1e500", "-1e500", "5e-324", "2.2250738585072014e-308", "0.1e-400",
+    "1.000000000000000000000000000000000001", "0x10", "", " ", "1e", "e1",
+    "1e+", ".5", "5.", "+.5e-3", "1.5E+3", "-0", "--1", "abc", "1 2", "1\x00",
+    "nan(123)", "Ⅷ",
+]
+
+
+def _rescan_error(path):
+    """The message the per-cell loop alone raises for the whole file."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header = [c.strip() for c in lines[0].split(",")]
+    with pytest.raises(DataError) as exc:
+        db.dataset._parse_lines(path, header, lines[1:], 2)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("cell", _PROBES)
+def test_read_table_reads_each_cell_as_float_does(tmp_path, cell):
+    path = _write(tmp_path, f"a,b\n1,{cell}\n")
+    try:
+        expected = float(cell)
+    except ValueError:
+        expected = None
+    if expected is not None and math.isfinite(expected):
+        _, table = db.read_table(path)
+        assert table[0, 1].tobytes() == np.float64(expected).tobytes()
+    else:
+        with pytest.raises(DataError) as exc:
+            db.read_table(path)
+        assert str(exc.value) == _rescan_error(path)
+        what = "not a number" if expected is None else "non-finite value"
+        assert str(exc.value) == f"{path}: line 2, column 'b': {what}: {cell!r}"
+
+
+def _late_defect_file(tmp_path, defect_lines):
+    """Three columns: valid rows filling the first block and more, the
+    defect lines, more valid rows.  Returns the path and the file line of
+    the first defect line."""
+    n = db.dataset._PARSE_BUDGET // 3 + 100
+    good = [f"{i},{i / 7!r},{-i}" for i in range(n)]
+    path = _write(tmp_path, "\n".join(["a,b,c", *good, *defect_lines, *good[:50]]) + "\n")
+    return path, n + 2
+
+
+@pytest.mark.parametrize("defect_lines, message", [
+    (["1,2", "1,2,3,4"], "line {0}: expected 3 cells, got 2"),
+    (["1,2,3", "1,nan,3"], "line {1}, column 'b': non-finite value: 'nan'"),
+    (["1,2,foo"], "line {0}, column 'c': not a number: 'foo'"),
+    (["1,word,3", "inf,2,3"], "line {0}, column 'b': not a number: 'word'"),
+    (["inf,word,3"], "line {0}, column 'a': non-finite value: 'inf'"),
+    (["1"] * 40, "line {0}: expected 3 cells, got 1"),
+    (["", "1,,3"], "line {1}, column 'b': not a number: ''"),
+], ids=["short-then-long", "nan", "word", "word-then-inf", "inf-then-word",
+        "one-column", "empty-cell-after-blank"])
+def test_read_table_names_a_defect_past_the_first_block(tmp_path, defect_lines, message):
+    path, first = _late_defect_file(tmp_path, defect_lines)
+    with pytest.raises(DataError) as exc:
+        db.read_table(path)
+    assert str(exc.value) == f"{path}: " + message.format(first, first + 1)
+    assert str(exc.value) == _rescan_error(path)
+
+
+@pytest.mark.parametrize("good_blocks", [0, 1])
+def test_read_table_one_column_blocks_under_a_wider_header(tmp_path, good_blocks):
+    # a block of one-cell rows converts to shape (rows, 1), which would
+    # broadcast into a three-column table without complaint
+    step = db.dataset._PARSE_BUDGET // 3
+    path = _write(tmp_path, "a,b,c\n" + "1,2,3\n" * (good_blocks * step) + "1\n" * (2 * step))
+    with pytest.raises(DataError) as exc:
+        db.read_table(path)
+    first = good_blocks * step + 2
+    assert str(exc.value) == f"{path}: line {first}: expected 3 cells, got 1"
+
+
+def test_read_table_blank_lines_across_blocks(tmp_path):
+    n = 3 * (db.dataset._PARSE_BUDGET // 2)
+    values = np.arange(2.0 * n).reshape(n, 2) / 3.0
+    lines = [f"{x!r},{y!r}" for x, y in values.tolist()]
+    for i in range(len(lines) - 1, 0, -997):
+        lines[i:i] = [""] * 3
+    path = _write(tmp_path, "u,v\n" + "\n".join(lines) + "\n\n\n")
+    header, table = db.read_table(path)
+    assert header == ["u", "v"]
+    assert table.tobytes() == values.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=st.integers(1, 5).flatmap(lambda k: st.lists(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+           min_size=1, max_size=25)),
+       budget=st.integers(1, 12), data=st.data())
+def test_write_then_read_table_is_bit_exact(tmp_path_factory, table, budget, data):
+    values = np.array(table, dtype=np.float64)
+    path = str(tmp_path_factory.mktemp("rt") / "t.csv")
+    header = [f"c{j}" for j in range(values.shape[1])]
+    db.write_table(path, header, values.tolist())
+    # blank lines and CRLF endings mixed into the body
+    lines = open(path, encoding="utf-8").read().splitlines()
+    text = lines[0] + "\n" + "".join(
+        "\r\n" * data.draw(st.integers(0, 2)) + line
+        + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines[1:])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with mock.patch.object(db.dataset, "_PARSE_BUDGET", budget):
+        got_header, got = db.read_table(path)
+    assert got_header == header
+    assert got.shape == values.shape and got.tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------
