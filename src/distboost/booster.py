@@ -227,12 +227,12 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
 
     defaults = loss.default_domains(ds)
     # the rules that need the loss, checked once, before the first tree
-    for name, cfg, default in zip(loss.param_names, configs, defaults):
+    for name, cfg, positive in zip(loss.param_names, configs, loss.must_be_positive):
         if cfg.tree.lambda_reg == 0.0 and not (cfg.tree.a > 0.0 and loss.hess_positive):
             raise ValidationError(f"parameter '{name}': lambda_reg = 0 needs a > 0 and a "
                                   "loss whose hessian is positive everywhere (got a = "
                                   f"{cfg.tree.a}, loss '{loss.name}')")
-        if cfg.domain is not None and default.lo > 0 and cfg.domain.lo <= 0:
+        if cfg.domain is not None and positive and cfg.domain.lo <= 0:
             raise ValidationError(f"parameter '{name}': domain [{cfg.domain.lo}, "
                                   f"{cfg.domain.hi}] must stay above 0 for '{loss.name}'")
     domains = [cfg.domain if cfg.domain is not None else defaults[j]

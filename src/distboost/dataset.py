@@ -244,20 +244,16 @@ def write_table(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def write_csv(ds, path, response_col="y", exposure_col=None, adjustment_col=None):
+def write_csv(ds, path):
     """Write a Dataset back to CSV using shortest round-trip decimals.
 
-    Exposure/adjustment columns are written when a column name is given, or
-    automatically (as "exposure"/"adjustment") when the vector is not all
-    ones; otherwise they are omitted.
+    The response is written as "y", then "exposure" and "adjustment" where
+    that column is not all ones.
     """
-    cols = [*ds.feature_names, response_col]
+    cols = [*ds.feature_names, "y"]
     arrays = [ds.features, ds.response]
-    for name, default, values in ((exposure_col, "exposure", ds.exposure),
-                                  (adjustment_col, "adjustment", ds.adjustment)):
-        if name is None and not np.all(values == 1.0):
-            name = default
-        if name is not None:
+    for name, values in (("exposure", ds.exposure), ("adjustment", ds.adjustment)):
+        if not np.all(values == 1.0):
             cols.append(name)
             arrays.append(values)
     if len(set(cols)) != len(cols):

@@ -17,6 +17,7 @@ stateless, and safe to call from multiple threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,17 +107,30 @@ class Loss:
         raise NotImplementedError
 
     def validate_response(self, y):
-        """Raise ValidationError when y is outside the loss's support."""
+        """y as a float64 array; ValidationError when it is outside the loss's support."""
+        return np.asarray(y, dtype=np.float64)
 
-    def _theta_arrays(self, theta):
+    @functools.cached_property
+    def must_be_positive(self):
+        """Per parameter: True where its default working interval lies above 0.
+
+        The one positivity rule: value/grad/hess reject theta <= 0 there, and
+        train and model files reject a domain that reaches 0 or below.
+        """
+        return tuple(d.lo > 0 for d in self.default_domains())
+
+    def _args(self, theta, y, j=0):
+        """The float64 arrays of theta, then the checked response, for coordinate j."""
+        if not 0 <= j < self.n_params:
+            raise ValidationError(f"parameter index {j} out of range for {self.name}")
         if len(theta) != self.n_params:
             raise ValidationError(
                 f"{self.name} expects {self.n_params} parameter(s), got {len(theta)}")
-        return [np.asarray(t, dtype=np.float64) for t in theta]
-
-    def _check_j(self, j):
-        if not 0 <= j < self.n_params:
-            raise ValidationError(f"parameter index {j} out of range for {self.name}")
+        theta = [np.asarray(t, dtype=np.float64) for t in theta]
+        for name, t, positive in zip(self.param_names, theta, self.must_be_positive):
+            if positive and not np.all(t > 0):
+                raise ValidationError(f"{self.name} parameter '{name}' must be positive")
+        return (*theta, self.validate_response(y))
 
     def __repr__(self):
         nus = ", ".join(f"{k}={v}" for k, v in sorted(self.nuisance.items()))
@@ -177,18 +191,16 @@ class SquaredError(Loss):
     hess_positive = True
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
-        (th,) = self._theta_arrays(theta)
-        return 0.5 * (th - np.asarray(y, dtype=np.float64)) ** 2
+        th, y = self._args(theta, y)
+        return 0.5 * (th - y) ** 2
 
     def grad(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        (th,) = self._theta_arrays(theta)
-        return th - np.asarray(y, dtype=np.float64)
+        th, y = self._args(theta, y, j)
+        return th - y
 
     def hess(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        (th,) = self._theta_arrays(theta)
-        return np.ones(np.broadcast(th, np.asarray(y)).shape)
+        th, y = self._args(theta, y, j)
+        return np.ones(np.broadcast(th, y).shape)
 
     def mle_init(self, ds):
         return (float(np.mean(ds.response)),)
@@ -224,37 +236,23 @@ class GammaNLL(Loss):
         y = np.asarray(y, dtype=np.float64)
         if not np.all(np.isfinite(y) & (y > 0)):
             raise ValidationError("gamma requires strictly positive responses")
-
-    def _mu(self, theta):
-        (mu,) = self._theta_arrays(theta)
-        if not np.all(mu > 0):
-            raise ValidationError("gamma mean mu must be positive")
-        return mu
+        return y
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
-        mu = self._mu(theta)
-        y = np.asarray(y, dtype=np.float64)
-        self.validate_response(y)
+        mu, y = self._args(theta, y)
         a = self.alpha
         return a * np.log(mu) + a * y / mu + self._const - (a - 1.0) * np.log(y)
 
     def grad(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        mu = self._mu(theta)
-        y = np.asarray(y, dtype=np.float64)
-        self.validate_response(y)
+        mu, y = self._args(theta, y, j)
         return self.alpha / mu - self.alpha * y / mu**2
 
     def hess(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        mu = self._mu(theta)
-        y = np.asarray(y, dtype=np.float64)
-        self.validate_response(y)
+        mu, y = self._args(theta, y, j)
         return -self.alpha / mu**2 + 2.0 * self.alpha * y / mu**3
 
     def mle_init(self, ds):
-        self.validate_response(ds.response)
-        return (float(np.mean(ds.response)),)
+        return (float(np.mean(self.validate_response(ds.response))),)
 
     def default_domains(self, ds=None):
         center = float(np.mean(ds.response)) if ds is not None else 1.0
@@ -281,17 +279,10 @@ class ZipNLL(Loss):
         self.alpha = alpha
 
     def validate_response(self, y):
-        _check_count_response(y, "zip")
-
-    def _mu(self, theta):
-        (mu,) = self._theta_arrays(theta)
-        if not np.all(mu > 0):
-            raise ValidationError("zip mean mu must be positive")
-        return mu
+        return _check_count_response(y, "zip")
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
-        mu = self._mu(theta)
-        y = _check_count_response(y, "zip")
+        mu, y = self._args(theta, y)
         a = self.alpha
         if a == 1.0:
             return -y * np.log(mu) + mu + log_gamma(y + 1.0)
@@ -301,9 +292,7 @@ class ZipNLL(Loss):
         return np.where(y == 0, v_zero, v_pos)
 
     def grad(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        mu = self._mu(theta)
-        y = _check_count_response(y, "zip")
+        mu, y = self._args(theta, y, j)
         a = self.alpha
         if a == 1.0:
             return 1.0 - y / mu
@@ -312,9 +301,7 @@ class ZipNLL(Loss):
         return np.where(y == 0, ez / s, 1.0 / a - y / mu)
 
     def hess(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        mu = self._mu(theta)
-        y = _check_count_response(y, "zip")
+        mu, y = self._args(theta, y, j)
         a = self.alpha
         if a == 1.0:
             return y / mu**2
@@ -325,9 +312,9 @@ class ZipNLL(Loss):
     def mle_init(self, ds):
         # No closed form for fixed alpha; the constant-mu likelihood is
         # unimodal, so a golden-section scan over the working interval does.
-        self.validate_response(ds.response)
+        y = self.validate_response(ds.response)
         (dom,) = self.default_domains(ds)
-        y, e, adj = ds.response, ds.exposure, ds.adjustment
+        e, adj = ds.exposure, ds.adjustment
 
         def total(mu):
             return float(np.sum(self.value((mu,), y, e, adj)))
@@ -359,34 +346,27 @@ class NegBinNLL(Loss):
     param_names = ("beta", "gamma")
 
     def validate_response(self, y):
-        _check_count_response(y, "negbin")
+        return _check_count_response(y, "negbin")
 
-    def _parts(self, theta, y, exposure, adjustment):
-        beta, gam = self._theta_arrays(theta)
-        if not np.all(beta > 0):
-            raise ValidationError("negbin beta must be positive")
-        if not np.all(gam > 0):
-            raise ValidationError("negbin gamma must be positive")
-        y = _check_count_response(y, "negbin")
+    def _parts(self, j, theta, y, exposure, adjustment):
+        beta, gam, y = self._args(theta, y, j)
         e = np.asarray(exposure, dtype=np.float64)
         adj = np.asarray(adjustment, dtype=np.float64)
         return e * gam, adj * beta, y, e, adj
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
-        r, b, y, _, _ = self._parts(theta, y, exposure, adjustment)
+        r, b, y, _, _ = self._parts(0, theta, y, exposure, adjustment)
         return (log_gamma(r) + log_gamma(y + 1.0) - log_gamma(y + r)
                 + (r + y) * np.log1p(b) - y * np.log(b))
 
     def grad(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        r, b, y, e, adj = self._parts(theta, y, exposure, adjustment)
+        r, b, y, e, adj = self._parts(j, theta, y, exposure, adjustment)
         if j == 0:
             return adj * ((r + y) / (1.0 + b) - y / b)
         return e * (digamma(r) - digamma(y + r) + np.log1p(b))
 
     def hess(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        r, b, y, e, adj = self._parts(theta, y, exposure, adjustment)
+        r, b, y, e, adj = self._parts(j, theta, y, exposure, adjustment)
         if j == 0:
             return adj**2 * (y / b**2 - (r + y) / (1.0 + b) ** 2)
         return e**2 * _trigamma_difference(r, y)
@@ -395,14 +375,14 @@ class NegBinNLL(Loss):
         # Method of moments on the per-unit scale y / (exposure * adjustment):
         # cheap, and always clamped into the working box.  Full 2-D MLE is
         # overkill for a start point.
-        self.validate_response(ds.response)
+        y = self.validate_response(ds.response)
         dom_b, dom_g = self.default_domains(ds)
         w = ds.exposure * ds.adjustment
         total_w = float(np.sum(w))
-        m1 = float(np.sum(ds.response)) / total_w
+        m1 = float(np.sum(y)) / total_w
         if m1 <= 0:
             return (dom_b.lo, dom_g.lo)
-        u = ds.response / w
+        u = y / w
         var = float(np.sum(w * (u - m1) ** 2)) / total_w
         beta0 = max(dom_b.lo, (var - m1) / m1)
         beta0 = float(dom_b.clip(beta0))
@@ -424,20 +404,15 @@ class DoubleWell(Loss):
     param_names = ("theta",)
 
     def value(self, theta, y, exposure=1.0, adjustment=1.0):
-        (th,) = self._theta_arrays(theta)
-        th = np.broadcast_arrays(th, np.asarray(y, dtype=np.float64))[0]
+        th = np.broadcast_arrays(*self._args(theta, y))[0]
         return (th**2 - 1.0) ** 2
 
     def grad(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        (th,) = self._theta_arrays(theta)
-        th = np.broadcast_arrays(th, np.asarray(y, dtype=np.float64))[0]
+        th = np.broadcast_arrays(*self._args(theta, y, j))[0]
         return 4.0 * th * (th**2 - 1.0)
 
     def hess(self, j, theta, y, exposure=1.0, adjustment=1.0):
-        self._check_j(j)
-        (th,) = self._theta_arrays(theta)
-        th = np.broadcast_arrays(th, np.asarray(y, dtype=np.float64))[0]
+        th = np.broadcast_arrays(*self._args(theta, y, j))[0]
         return 12.0 * th**2 - 4.0
 
     def mle_init(self, ds):
@@ -513,7 +488,6 @@ class SliceReport:
     y: float
     param: str
     classification: str  # "single-minimum" | "strictly-monotonic" | "fail"
-    n_local_minima: int
     minima_locations: tuple
 
     @property
@@ -592,18 +566,17 @@ def _classify_slice(grid, values, grads, y, param):
     # (saturated tails underflow to zero without breaking monotonicity).
     signs = np.sign(grads)
     signs = signs[signs != 0]
-    flips = np.flatnonzero(signs[1:] != signs[:-1])
     down_up = int(np.sum((signs[:-1] == -1) & (signs[1:] == 1)))
     up_down = int(np.sum((signs[:-1] == 1) & (signs[1:] == -1)))
 
     if len(minima_idx) == 0:
         monotone = bool(np.all(dv <= 0) or np.all(dv >= 0))
-        if monotone and np.any(dv != 0) and len(flips) == 0:
-            return SliceReport(y, param, "strictly-monotonic", 0, ())
-        return SliceReport(y, param, "fail", 0, locations)
+        if monotone and np.any(dv != 0) and down_up + up_down == 0:
+            return SliceReport(y, param, "strictly-monotonic", ())
+        return SliceReport(y, param, "fail", locations)
 
     if len(minima_idx) == 1 and up_down == 0 and down_up <= 1:
         k = int(minima_idx[0])
         if np.all(dv[:k] <= 0) and np.all(dv[k:] >= 0):
-            return SliceReport(y, param, "single-minimum", 1, locations)
-    return SliceReport(y, param, "fail", int(len(minima_idx)), locations)
+            return SliceReport(y, param, "single-minimum", locations)
+    return SliceReport(y, param, "fail", locations)

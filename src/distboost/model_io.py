@@ -113,6 +113,9 @@ def model_from_dict(doc):
             domain = ParameterDomain(d.get("lo", "number"), d.get("hi", "number"))
         except ValidationError as exc:
             raise ModelFormatError(f"{where}.domain: {exc}") from None
+        if j < loss.n_params and loss.must_be_positive[j] and domain.lo <= 0:
+            raise ModelFormatError(f"{where}.domain: [{domain.lo}, {domain.hi}] must stay "
+                                   f"above 0 for '{loss_name}'")
         params.append(ParamEnsemble(b.get("name", "string"), b.get("base_value", "number"),
                                     domain, _columns_to_trees(b.get("trees", "object"),
                                                               f"{where}.trees")))

@@ -351,6 +351,59 @@ def test_grad_hess_match_finite_differences(case):
 
 
 # ---------------------------------------------------------------------------
+# argument checks, every loss and method
+
+# loss, its positivity per parameter, a valid theta and response, a response
+# outside the support (None where every real number is in it)
+_ARG_CASES = [
+    (db.squared_error(), (False,), (1.0,), 2.0, None),
+    (db.gamma_nll(5.0), (True,), (1.0,), 2.0, 0.0),
+    (db.zip_nll(0.5), (True,), (1.0,), 2.0, 2.5),
+    (db.negbin_nll(), (True, True), (1.0, 1.0), 2.0, -1.0),
+    (db.double_well(), (False,), (1.0,), 2.0, None),
+]
+
+
+def _call(loss, method, theta, y, j=0):
+    if method == "value":
+        return loss.value(theta, y)
+    return getattr(loss, method)(j, theta, y)
+
+
+@pytest.mark.parametrize("method", ["value", "grad", "hess"])
+@pytest.mark.parametrize("case", _ARG_CASES, ids=lambda c: c[0].name)
+def test_every_method_checks_its_arguments(case, method):
+    loss, positive, theta, y, outside = case
+    assert loss.must_be_positive == positive
+    assert np.all(np.isfinite(_call(loss, method, theta, y)))
+    with pytest.raises(ValidationError, match=rf"expects {loss.n_params} parameter"):
+        _call(loss, method, theta + (1.0,), y)
+    if method != "value":
+        for j in (-1, loss.n_params):
+            with pytest.raises(ValidationError, match="out of range"):
+                _call(loss, method, theta, y, j)
+    for j, name in enumerate(loss.param_names):
+        if positive[j]:
+            for bad in (0.0, -1.0):
+                shifted = list(theta)
+                shifted[j] = np.array([1.0, bad])
+                with pytest.raises(ValidationError,
+                                   match=rf"{loss.name} parameter '{name}' must be positive"):
+                    _call(loss, method, shifted, y, j)
+    if outside is not None:
+        with pytest.raises(ValidationError, match=f"{loss.name} requires"):
+            _call(loss, method, theta, np.array([y, outside]))
+
+
+@pytest.mark.parametrize("case", _ARG_CASES, ids=lambda c: c[0].name)
+def test_validate_response_returns_the_float64_response(case):
+    y = [1, 2, 3]
+    checked = case[0].validate_response(y)
+    assert checked.dtype == np.float64
+    np.testing.assert_array_equal(checked, y)
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 def test_registry_round_trip():

@@ -210,3 +210,19 @@ def test_nuisance_must_build_the_loss(tmp_path, nuisance):
     doc["nuisance"] = nuisance
     with pytest.raises(ModelFormatError, match="nuisance"):
         db.load(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("n_params,j,lo,loss", [(1, 0, -5.0, "gamma"), (2, 1, 0.0, "negbin")])
+def test_domain_reaching_zero_rejected_for_a_positive_parameter(tmp_path, n_params, j, lo, loss):
+    doc = model_io.model_to_dict(_trained_model(n_params))
+    doc["params"][j]["domain"] = {"lo": lo, "hi": 1.0}
+    doc["params"][j]["base_value"] = -3.0
+    with pytest.raises(ModelFormatError, match=rf"params\[{j}\]\.domain: \[{lo}, 1\.0\] "
+                                               rf"must stay above 0 for '{loss}'"):
+        db.load(_write(tmp_path, doc))
+
+
+def test_squared_error_domain_may_span_zero(tmp_path):
+    model = db.BoostedModel("squared_error", {}, ("x1",), [
+        db.ParamEnsemble("theta", -3.0, db.ParameterDomain(-5.0, 1.0), [])])
+    assert db.load(_write(tmp_path, model_io.model_to_dict(model))).predict([0.5]) == (-3.0,)

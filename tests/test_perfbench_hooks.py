@@ -9,6 +9,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
 
+from distboost import losses  # noqa: E402
+
 
 def _current(owner, attr):
     return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
@@ -26,6 +28,19 @@ def test_tracer_install_then_uninstall_restores_every_original():
         t.uninstall()
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_tracer_wraps_the_four_methods_of_every_registered_loss():
+    # the tracer wraps only methods defined in a direct subclass of Loss itself
+    t = tracer.Tracer()
+    t.install()
+    try:
+        patched = {(owner, attr) for owner, attr, _ in t._patches}
+    finally:
+        t.uninstall()
+    for cls, _ in losses._REGISTRY.values():
+        for method in ("value", "grad", "hess", "mle_init"):
+            assert (cls, method) in patched, f"{cls.__name__}.{method}"
 
 
 def test_selftest_passes():
