@@ -128,6 +128,9 @@ class BoostedModel:
         self.loss_name = str(loss_name)
         self.nuisance = dict(nuisance)
         self.feature_names = tuple(feature_names)
+        if not self.feature_names or len(set(self.feature_names)) != len(self.feature_names):
+            raise ValidationError(
+                f"feature_names must be nonempty and distinct, got {self.feature_names}")
         self.params = list(params)
         # per parameter, validated once: base value as one-leaf tree -1, then trees shrunk by eta
         self._stacks = []
@@ -175,13 +178,6 @@ class BoostedModel:
                                                  axis=0)[-1]
             out[:, j] = clamp_to_domain(out[:, j], p.domain)
         return out
-
-    def fingerprint(self):
-        from . import model_io  # deferred: model_io imports this module
-
-        import hashlib
-
-        return hashlib.sha256(model_io.dumps(self).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

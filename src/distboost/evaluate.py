@@ -8,10 +8,12 @@ scored on the same rows; reports therefore carry a dataset identity
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import model_io
 from .booster import BoostedModel
 from .dataset import Dataset
 from .errors import NumericError, ValidationError
@@ -40,7 +42,7 @@ class EvalReport:
 
 
 def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):
-    """Total and mean NLL of the model's predictions on a dataset."""
+    """Total and mean NLL on a dataset; model_id defaults to sha256 of the model's text."""
     if loss.name != model.loss_name:
         raise ValidationError(
             f"loss '{loss.name}' does not match model loss '{model.loss_name}'")
@@ -60,7 +62,8 @@ def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):
     total = float(np.sum(values))
     n = ds.n_rows
     return EvalReport(
-        model_id=model.fingerprint() if model_id is None else str(model_id),
+        model_id=(hashlib.sha256(model_io.dumps(model).encode("utf-8")).hexdigest()
+                  if model_id is None else str(model_id)),
         dataset_id=ds.identifier(),
         total_nll=total,
         mean_nll=total / n,

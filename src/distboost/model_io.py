@@ -60,8 +60,10 @@ def dumps(model: BoostedModel):
 
 
 def save(model: BoostedModel, path):
+    text = dumps(model)
+    model_from_dict(json.loads(text))  # load's reader: a model it rejects is never written
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model))
+        fh.write(text)
 
 
 def _columns_to_trees(block, where):
@@ -100,8 +102,6 @@ def model_from_dict(doc):
     except ValidationError as exc:
         raise ModelFormatError(f"model.nuisance: {exc}") from None
     feature_names = f.items("feature_names", "string")
-    if not feature_names:
-        raise ModelFormatError("feature_names must be nonempty")
 
     params = []
     for j, block in enumerate(f.items("params", "object")):

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +487,17 @@ def test_model_with_column_defects_exit_2(tmp_path, capsys, defect, named):
     assert code == 2 and named in err
 
 
+def test_model_with_repeated_feature_names_exit_2(tmp_path, capsys):
+    data, doc = _trained_gamma_model(tmp_path, capsys)
+    assert doc["feature_names"] == ["x1", "x2"]
+    doc["feature_names"] = ["x1", "x1"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(["predict", "--model", str(bad), "--data", data,
+                      "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 2 and "feature_names must be nonempty and distinct" in err
+
+
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
             | st.text(max_size=6))
 _NON_NUMBERS = st.none() | st.booleans() | st.text(max_size=6)
@@ -659,3 +672,57 @@ def test_shipped_negbin_gen_params_feed_shipped_config(tmp_path, capsys):
     assert main(["train", "--data", data, "--config", str(config),
                  "--out", str(tmp_path / "m.json")]) == 0
     assert "holdout_nll=" in capsys.readouterr().out
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_readme_walkthrough_prints_what_the_readme_shows(tmp_path, capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    spec = readme.split("cat > gen_params.json <<'EOF'\n")[1].split("\nEOF\n")[0]
+    shown = re.findall(r"^# ((?:final_train|holdout)_nll=[0-9.]+)\.\.\.$", readme, re.M)
+    assert len(shown) == 2
+    params = tmp_path / "gen_params.json"
+    params.write_text(spec)
+    data, model = str(tmp_path / "severity.csv"), str(tmp_path / "model.json")
+    assert main(["gen", "--dist", "gamma", "--n", "5000", "--seed", "1",
+                 "--params", str(params), "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", str(_ROOT / "configs/gamma_severity.json"),
+                 "--out", model, "--trace", str(tmp_path / "trace.csv")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and all(map(str.startswith, printed, shown)), (printed, shown)
+    assert main(["eval", "--model", model, "--data", data]) == 0
+    assert main(["predict", "--model", model, "--data", data,
+                 "--out", str(tmp_path / "preds.csv")]) == 0
+
+
+_ZIP_SPEC = {"cuts": [[0.5], [0.5]],
+             "cells": [[{"mu": 0.5, "alpha": 0.5}, {"mu": 1.0, "alpha": 0.5}],
+                       [{"mu": 2.0, "alpha": 0.5}, {"mu": 4.0, "alpha": 0.5}]]}
+
+
+@pytest.mark.parametrize("dist, n, spec, config", [
+    ("zip", 2000, _ZIP_SPEC, "zip_frequency.json"),
+    ("negbin", 4000, "negbin_gen_params.json", "negbin_exposure.json"),
+])
+def test_shipped_config_runs_gen_train_predict_eval(tmp_path, capsys, dist, n, spec, config):
+    if isinstance(spec, dict):
+        params = tmp_path / "gen_params.json"
+        params.write_text(json.dumps(spec))
+    else:
+        params = _ROOT / "configs" / spec
+    config = _ROOT / "configs" / config
+    data, model = str(tmp_path / "data.csv"), str(tmp_path / "model.json")
+    preds = tmp_path / "preds.csv"
+    doc = json.loads(config.read_text())
+    bound = [arg for key in ("exposure_col", "adjustment_col") if doc.get(key)
+             for arg in (f"--{key[:-4]}-col", doc[key])]
+    assert main(["gen", "--dist", dist, "--n", str(n), "--seed", "1",
+                 "--params", str(params), "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", str(config), "--out", model]) == 0
+    assert main(["predict", "--model", model, "--data", data, "--out", str(preds)]) == 0
+    assert main(["eval", "--model", model, "--data", data, *bound]) == 0
+    names = db.load(model).param_names
+    assert names == db.make_loss(doc["loss"]["name"], doc["loss"]["nuisance"]).param_names
+    assert preds.read_text().splitlines()[0] == ",".join(names)

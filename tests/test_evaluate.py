@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import distboost as db
+from distboost import model_io
 from distboost.errors import NumericError, ValidationError
 
 
@@ -24,6 +27,9 @@ def test_zero_tree_model_scores_constant_nll():
     assert report.total_nll == pytest.approx(expected, rel=1e-12)
     assert report.n == 300
     assert report.total_nll == pytest.approx(report.mean_nll * report.n, rel=1e-9)
+    # the default model identity is the sha256 of the model file's text
+    text = model_io.dumps(model).encode("utf-8")
+    assert report.model_id == hashlib.sha256(text).hexdigest()
 
 
 def test_single_row_total_equals_mean():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -226,3 +227,75 @@ def test_squared_error_domain_may_span_zero(tmp_path):
     model = db.BoostedModel("squared_error", {}, ("x1",), [
         db.ParamEnsemble("theta", -3.0, db.ParameterDomain(-5.0, 1.0), [])])
     assert db.load(_write(tmp_path, model_io.model_to_dict(model))).predict([0.5]) == (-3.0,)
+
+
+def _stump_model(loss_name, nuisance, names, domain, features):
+    """A model with one stump on feature 0 per parameter, or None where it does not build."""
+    stump = db.RegressionTree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                              [0.0, -0.1, 0.1])
+    try:
+        return db.BoostedModel(loss_name, nuisance, features, [
+            db.ParamEnsemble(name, 0.5, db.ParameterDomain(*domain), [(stump, 0.1)])
+            for name in names])
+    except ValidationError:
+        return None
+
+
+def test_save_writes_exactly_the_models_load_reads(tmp_path):
+    path = tmp_path / "m.json"
+    previous = b"a model file that a failed save must leave alone\n"
+    X = np.random.default_rng(0).random((50, 2))
+    saved = rejected = 0
+    for loss_name, nuisance, names, domain, features in itertools.product(
+            ("squared_error", "gamma", "zip", "negbin", "mystery"),
+            ({}, {"alpha": 0.5}, {"alpha": 5.0}),
+            (("theta",), ("mu",), ("beta", "gamma"), ("gamma", "beta")),
+            ((-5.0, 1.0), (0.0, 1.0), (0.25, 4.0)),
+            (("x1",), ("x1", "x2"), ("x1", "x1"), ())):
+        model = _stump_model(loss_name, nuisance, names, domain, features)
+        if model is None:
+            continue
+        path.write_bytes(previous)
+        try:
+            db.save(model, str(path))
+        except ModelFormatError:
+            assert path.read_bytes() == previous
+            rejected += 1
+            continue
+        loaded = db.load(str(path))
+        assert path.read_bytes() == model_io.dumps(loaded).encode("utf-8")
+        width = len(features)
+        assert np.array_equal(loaded.predict_many(X[:, :width]), model.predict_many(X[:, :width]))
+        saved += 1
+    # repeated or missing feature names never build a model
+    assert (saved, rejected) == (14, 346)
+
+
+def test_a_custom_loss_trains_and_scores_in_memory_but_is_not_saved(tmp_path):
+    class HalfSquared(db.squared_error):
+        name = "half_squared"
+
+    rng = np.random.default_rng(1)
+    X = rng.random((200, 2))
+    ds = db.Dataset(X, np.where(X[:, 0] < 0.5, -1.0, 2.0) + rng.normal(0.0, 0.1, 200))
+    loss = HalfSquared()
+    model = db.train(ds, loss, [db.ParamTrainConfig(tree=db.TreeParams(max_depth=2))],
+                     10).model
+    assert model.predict_many(X).shape == (200, 1)
+    assert np.isfinite(db.nll_score(model, loss, ds).mean_nll)
+    path = tmp_path / "m.json"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ModelFormatError, match="unknown loss_name 'half_squared'"):
+        db.save(model, str(path))
+    assert path.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("features", [["x1", "x1"], []])
+def test_feature_names_must_be_nonempty_and_distinct(tmp_path, features):
+    doc = _one_tree_doc([-1], [-1], [-1])
+    doc["feature_names"] = features
+    with pytest.raises(ModelFormatError, match="feature_names must be nonempty and distinct"):
+        db.load(_write(tmp_path, doc))
+    with pytest.raises(ValidationError, match="feature_names must be nonempty and distinct"):
+        db.BoostedModel("squared_error", {}, features, [
+            db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0), [])])
