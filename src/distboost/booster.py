@@ -119,9 +119,9 @@ class BoostedModel:
 
     Prediction for parameter j is the base value plus the shrunken sum of
     its trees, clamped once into the parameter's working interval.  The sum
-    runs tree by tree in fit order (cumsum, never pairwise) over one stacked
-    tree per parameter, packed and validated at construction and routed in
-    one pass.
+    adds tree after tree in fit order, never pairwise as np.sum may, over one
+    stacked tree per parameter, packed and validated at construction and
+    routed in one pass.
     """
 
     def __init__(self, loss_name, nuisance, feature_names, params):
@@ -174,8 +174,11 @@ class BoostedModel:
         for j, (p, stack) in enumerate(zip(self.params, self._stacks)):
             step = max(1, _ROUTE_BUDGET // stack.roots.size)
             for lo in range(0, X.shape[0], step):
-                out[lo:lo + step, j] = np.cumsum(stack.predict_many(X[lo:lo + step]),
-                                                 axis=0)[-1]
+                W = stack.predict_many(X[lo:lo + step])
+                acc = W[0].copy()  # contiguous; tree by tree, as cumsum would
+                for w in W[1:]:
+                    acc += w
+                out[lo:lo + step, j] = acc
             out[:, j] = clamp_to_domain(out[:, j], p.domain)
         return out
 

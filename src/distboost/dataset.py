@@ -145,24 +145,31 @@ def read_table(path):
         raise DataError(f"{path}: duplicate column name(s): {', '.join(dupes)}")
 
     # lines[i] is file line i + 2; blank lines are skipped
-    table = np.empty((len(lines) - lines.count(""), len(header)))
+    k = len(header)
+    table = np.empty((len(lines) - lines.count(""), k))
     if not table.size:
         raise DataError(f"{path}: no data rows")
-    step = max(1, _PARSE_BUDGET // len(header))
+    step = max(1, _PARSE_BUDGET // k)
     filled = 0
     for lo in range(0, len(lines), step):
-        cells = [line.split(",") for line in lines[lo:lo + step] if line]
-        n = len(cells)
+        block = [line for line in lines[lo:lo + step] if line]
+        n = len(block)
         if not n:
             continue
+        # one split of the block; no line holds "\n", so the n - 1 row
+        # separators sit at every (k+1)-th cell iff every row has k cells
+        cells = ",\n,".join(block).split(",")
+        ok = len(cells) == n * (k + 1) - 1 and cells[k::k + 1] == ["\n"] * (n - 1)
         # numpy reads a str cell by float()'s rules, so only a block holding
         # a defect needs the per-cell rescan that locates it; rebinding
         # `cells` frees the block's strings before the next block is split
-        try:
-            cells = np.array(cells, dtype=np.float64)
-            ok = cells.shape == (n, len(header)) and np.isfinite(cells).all()
-        except ValueError:  # a bad cell, or rows of unequal length
-            ok = False
+        if ok:
+            del cells[k::k + 1]
+            try:
+                cells = np.array(cells, dtype=np.float64).reshape(n, k)
+                ok = np.isfinite(cells).all()
+            except ValueError:  # a bad cell
+                ok = False
         if not ok:
             cells = _parse_lines(path, header, lines[lo:lo + step], lo + 2)
         table[filled:filled + n] = cells

@@ -41,7 +41,8 @@ def model_to_dict(model: BoostedModel):
     return {
         "format_version": FORMAT_VERSION,
         "loss_name": model.loss_name,
-        "nuisance": {k: float(v) for k, v in model.nuisance.items()},
+        "nuisance": {k: typed(v, "number", f"model.nuisance.{k}", ModelFormatError)
+                     for k, v in model.nuisance.items()},
         "feature_names": list(model.feature_names),
         "params": [
             {

@@ -175,10 +175,14 @@ class RegressionTree:
         n, m = X.shape
         if m < width:
             raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
+        roots = self.roots[..., None]
+        if not self.depth:
+            return np.broadcast_to(roots, self.roots.shape + (n,))
+        # every row starts at its tree's root, so the first step reads one column per tree
+        node = child.take(2 * roots + (X.T[feat.take(self.roots)] < self.threshold.take(roots)))
         flat = np.ascontiguousarray(X).reshape(-1)
         row_start = np.arange(0, n * m, m)
-        node = np.broadcast_to(self.roots[..., None], self.roots.shape + (n,))
-        for _ in range(self.depth):
+        for _ in range(self.depth - 1):
             goes_left = flat.take(row_start + feat.take(node)) < self.threshold.take(node)
             node = child.take(2 * node + goes_left)
         return node

@@ -7,7 +7,9 @@ share its bugs.  The exceptions are split_gain, which combines the
 package's leaf_score so that its tests check that formula, and
 ref_build_tree_scan, a frozen copy of the package's earlier builder that
 pins the current one to the same trees, bit for bit; it uses the package's
-leaf formulas, presort and tree class.
+leaf formulas, presort and tree class.  Likewise ref_leaves is a frozen copy
+of the earlier router, which took every level, the first included, by
+per-tree-row gathers; it reads the tree's router arrays.
 """
 
 from typing import NamedTuple
@@ -340,3 +342,18 @@ def ref_build_tree_scan(X, g, h_eff, params: TreeParams, presorted=None):
 
     grow(np.arange(n, dtype=np.intp), list(presorted), 0)
     return RegressionTree(feature, threshold, left, right, weight)
+
+
+def ref_leaves(self, X):
+    """Leaf node of every row in every tree: shape roots.shape + (rows,)."""
+    feat, child, width = self._router
+    n, m = X.shape
+    if m < width:
+        raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
+    flat = np.ascontiguousarray(X).reshape(-1)
+    row_start = np.arange(0, n * m, m)
+    node = np.broadcast_to(self.roots[..., None], self.roots.shape + (n,))
+    for _ in range(self.depth):
+        goes_left = flat.take(row_start + feat.take(node)) < self.threshold.take(node)
+        node = child.take(2 * node + goes_left)
+    return node

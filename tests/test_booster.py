@@ -450,3 +450,29 @@ def test_predict_many_matches_predict_bitwise_with_single_leaf_trees():
     assert all(t.n_nodes == 1 for t, _ in model.params[0].trees)
     assert any(t.n_nodes > 1 for t, _ in model.params[1].trees)
     _assert_batch_matches_quotes(model, 6)
+
+
+@pytest.mark.parametrize("last_chunk", [1, 2])
+@pytest.mark.parametrize("loss, params", [
+    (db.gamma_nll(5.0), lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 6.0), "alpha": 5.0}),
+    (db.negbin_nll(), lambda X: {"beta": 1.0 + X[:, 1],
+                                 "gamma": np.where(X[:, 0] < 0.5, 1.0, 4.0)}),
+], ids=["1-param", "2-param"])
+def test_predict_many_adds_trees_in_fit_order(loss, params, last_chunk):
+    from distboost import booster
+    ds = db.generate_synthetic(loss.name, 400, 8, params)
+    cfg = db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=3))
+    model = db.train(ds, loss, [cfg] * loss.n_params, 40).model
+    assert [len(p.trees) for p in model.params] == [40] * loss.n_params
+    step = booster._ROUTE_BUDGET // 41
+    X = np.random.default_rng(9).random((2 * step + last_chunk, 2))
+    # the reference adds tree after tree (cumsum is sequential) in every
+    # chunk; np.sum or np.add.reduce over the tree axis is not that sum: on
+    # a one-row chunk the reduction is contiguous and numpy adds pairwise
+    want = np.empty_like(model.predict_many(X))
+    for j, (p, stack) in enumerate(zip(model.params, model._stacks)):
+        assert stack.roots.size == len(p.trees) + 1
+        for lo in range(0, len(X), step):
+            want[lo:lo + step, j] = np.cumsum(stack.predict_many(X[lo:lo + step]), axis=0)[-1]
+        want[:, j] = db.clamp_to_domain(want[:, j], p.domain)
+    assert model.predict_many(X).tobytes() == want.tobytes()

@@ -219,6 +219,38 @@ def test_read_table_blank_lines_across_blocks(tmp_path):
     assert table.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("budget, rows, expected", [
+    (6, ["1,2,3", "4,5,6", "7,8", "1,2,3"], "line 4: expected 3 cells, got 2"),
+    (6, ["1,2,3", "4,5,6,7"], "line 3: expected 3 cells, got 4"),
+    # 2 + 4 cells fill a two-row block's count, but not its row separator
+    (6, ["1,2,3", "4,5,6", "7,8", "9,10,11,12"], "line 4: expected 3 cells, got 2"),
+    (6, ["1,2,3", "4,5,6", "7,8,9,10", "11,12"], "line 4: expected 3 cells, got 4"),
+    (6, ["1,2,3", "4,5,6", "7,8,9", "1,2"], "line 5: expected 3 cells, got 2"),
+    (6, ["1,2,3", "4,5,6", "7,8"], "line 4: expected 3 cells, got 2"),
+    (12, ["1,2,3", "", "4,5,6", "", "", "7,8,9"], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+    (12, ["1,2,3", "", "4,x,6"], "line 4, column 'b': not a number: 'x'"),
+    (6, ["1,2,3", "4,5,6", "7,x,9", "1,2,3"], "line 4, column 'b': not a number: 'x'"),
+    (6, ["1,2,3", "4,5,6", "inf,8,9"], "line 4, column 'a': non-finite value: 'inf'"),
+    (6, ["a", "1", "2", "", "3", "4", "5", "6", "7"], [[1], [2], [3], [4], [5], [6], [7]]),
+    (6, ["a", "1", "2,3", "4"], "line 3: expected 1 cells, got 2"),
+    (6, ["a", "1", "2", "3", "4", "5", "6", "x"], "line 8, column 'a': not a number: 'x'"),
+], ids=["short", "long", "short-then-long", "long-then-short", "short-last", "short-last-alone",
+        "blank-lines", "blank-then-bad", "bad-after-boundary", "inf-after-boundary",
+        "one-column", "one-column-long", "one-column-bad-after-boundary"])
+def test_read_table_block_split_matches_the_cell_by_cell_reader(tmp_path, budget, rows,
+                                                                 expected):
+    header = "a" if rows[0] == "a" else "a,b,c"
+    path = _write(tmp_path, "\n".join([header, *rows[rows[0] == "a":]]) + "\n")
+    with mock.patch.object(db.dataset, "_PARSE_BUDGET", budget):
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as exc:
+                db.read_table(path)
+            assert str(exc.value) == f"{path}: {expected}" == _rescan_error(path)
+        else:
+            _, table = db.read_table(path)
+            assert table.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(table=st.integers(1, 5).flatmap(lambda k: st.lists(
            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),

@@ -213,6 +213,16 @@ def test_nuisance_must_build_the_loss(tmp_path, nuisance):
         db.load(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("value", ["x", None, [5.0], float("inf")])
+def test_save_names_a_nuisance_value_that_is_not_a_number(tmp_path, value):
+    model = db.BoostedModel("gamma", {"alpha": value}, ("x1",), [
+        db.ParamEnsemble("mu", 1.0, db.ParameterDomain(0.5, 2.0), [])])
+    path = tmp_path / "m.json"
+    with pytest.raises(ModelFormatError, match=r"^model\.nuisance\.alpha: expected a finite "):
+        db.save(model, str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("n_params,j,lo,loss", [(1, 0, -5.0, "gamma"), (2, 1, 0.0, "negbin")])
 def test_domain_reaching_zero_rejected_for_a_positive_parameter(tmp_path, n_params, j, lo, loss):
     doc = model_io.model_to_dict(_trained_model(n_params))

@@ -386,6 +386,34 @@ def test_stack_predicts_each_tree_scaled():
     assert np.array_equal(stack.predict(Q[7]), expected[:, 7])
 
 
+def _router_trees():
+    rng = np.random.default_rng(41)
+    X = rng.random((200, 3))
+    deep = [db.build_tree(X, rng.normal(size=200), np.ones(200), db.TreeParams(max_depth=4))
+            for _ in range(3)]
+    assert all(t.depth == 4 for t in deep)
+    leaf = db.RegressionTree([-1], [0.0], [-1], [-1], [0.25])
+    return {"depth-0 stack": db.RegressionTree.stack([leaf, leaf, leaf], [1.0, 2.0, 3.0]),
+            "single tree": deep[0],
+            "mixed stack": db.RegressionTree.stack([leaf, deep[0], leaf, leaf, deep[1], deep[2]],
+                                                   [1.0] * 6)}
+
+
+@pytest.mark.parametrize("name", ["depth-0 stack", "single tree", "mixed stack"])
+def test_router_matches_the_per_tree_row_reference_bitwise(name):
+    tree = _router_trees()[name]
+    Q = np.random.default_rng(43).random((500, 3))
+    split = tree.feature >= 0
+    # row i holds split i's threshold exactly in its feature, so every root is met at its threshold
+    Q[np.arange(split.sum()), tree.feature[split]] = tree.threshold[split]
+    Q[-6:] = [[np.nan, 0.5, 0.5], [0.5, np.inf, -np.inf], [-np.inf, np.nan, np.inf],
+              [np.inf, np.inf, np.inf], [-np.inf, -np.inf, -np.inf], [np.nan] * 3]
+    for X in (Q, *(Q[i:i + 1] for i in (0, 1, 250, 494, 495, 496, 497, 498, 499))):
+        got, want = tree._leaves(X), oracles.ref_leaves(tree, X)
+        assert got.shape == want.shape == tree.roots.shape + (len(X),)
+        assert np.array_equal(got, want)
+
+
 def test_predict_rejects_narrow_input():
     X = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
     tree = db.build_tree(X, np.array([-1.0, 0.0, 1.0]), np.ones(3), db.TreeParams())
