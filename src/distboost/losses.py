@@ -166,8 +166,8 @@ def _trigamma_difference(r, y):
     for k in range(_DIRECT_TERMS):
         if not idx.size:
             break
-        out[idx] += 1.0 / (r[idx] + k) ** 2
-        idx = idx[y[idx] > k + 1]
+        out[idx] += 1.0 / (r.take(idx) + k) ** 2
+        idx = idx.compress(y.take(idx) > k + 1)
     return out.reshape(shape)
 
 

@@ -271,6 +271,13 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
         raise ValidationError("h_eff must be finite and >= 0")
     orders = presort_features(X) if presorted is None else np.asarray(presorted, dtype=np.intp)
     XT = np.ascontiguousarray(X.T)
+    # g and h_eff as the parts of one complex array: one gather and one cumsum
+    # serve both, and each part equals the real cumsum bit for bit.  The parts
+    # are assigned (g + 1j * h_eff turns -0.0 into +0.0) and summed as .real and
+    # .imag views; np.sum of the complex array would group its adds differently.
+    gh = np.empty(n, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h_eff
 
     two_a = 2.0 * params.a
     lam = params.lambda_reg
@@ -292,13 +299,13 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
         order: (scan gain, threshold, whether "< threshold" puts exactly
         the scanned prefix left), or None when it has no candidate."""
         xs = XT[f].take(of)
-        pos = np.flatnonzero(xs[:-1] != xs[1:])
-        pos = pos[np.searchsorted(pos, min_leaf - 1):
-                  np.searchsorted(pos, len(of) - 1 - min_leaf, side="right")]
+        # a boundary after sorted position p leaves p + 1 rows left
+        stop = len(of) - min_leaf
+        pos = (xs[min_leaf - 1:stop] != xs[min_leaf:stop + 1]).nonzero()[0] + (min_leaf - 1)
         if pos.size == 0:
             return None
-        gl = np.cumsum(g.take(of))[pos]
-        hl = np.cumsum(h_eff.take(of))[pos]
+        ghl = gh.take(of).cumsum().take(pos)
+        gl, hl = ghl.real, ghl.imag
         gr, hr = G - gl, H - hl
         dl = two_a * hl + lam
         dr = two_a * hr + lam
@@ -311,7 +318,7 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
             if not ok.any():
                 return None
             gains = np.where(ok, gains, -np.inf)
-        k = int(np.argmax(gains))
+        k = int(gains.argmax())
         lo, hi = xs[pos[k]], xs[pos[k] + 1]
         # Midpoints of adjacent floats can round down onto the left value;
         # bump to the right value so "< threshold" reproduces the scanned
@@ -327,9 +334,9 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
         # partition get bit-identical gains regardless of which feature
         # produced them, keeping the documented tie-break exact.
         nid = new_node()
-        g_rows, h_rows = g.take(rows), h_eff.take(rows)
-        G = float(np.sum(g_rows))
-        H = float(np.sum(h_rows))
+        gh_rows = gh.take(rows)
+        G = float(np.sum(gh_rows.real))
+        H = float(np.sum(gh_rows.imag))
 
         best_gain = 0.0
         best = None
@@ -347,7 +354,7 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
             cut = -math.inf
             if found and all(exact for *_, exact in found):
                 best_scan = max(c[1] for c in found)
-                slack = _gain_slack(len(rows), float(np.sum(np.abs(g_rows))), H,
+                slack = _gain_slack(len(rows), float(np.sum(np.abs(gh_rows.real))), H,
                                     two_a, lam, gamma_reg)
                 if math.isfinite(best_scan) and abs(best_scan) > 2.0 * slack:
                     cut = best_scan - 2.0 * slack
@@ -357,10 +364,9 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
                 # both sides summed directly (not as parent-minus-left) so a
                 # mirrored partition on another feature gains bit-identically
                 lmask = XT[f].take(rows) < thr
-                glc = float(np.sum(g_rows[lmask]))
-                hlc = float(np.sum(h_rows[lmask]))
-                grc = float(np.sum(g_rows[~lmask]))
-                hrc = float(np.sum(h_rows[~lmask]))
+                ghl, ghr = gh_rows.compress(lmask), gh_rows.compress(~lmask)
+                glc, hlc = float(np.sum(ghl.real)), float(np.sum(ghl.imag))
+                grc, hrc = float(np.sum(ghr.real)), float(np.sum(ghr.imag))
                 dlc = two_a * hlc + lam
                 drc = two_a * hrc + lam
                 if dlc <= 0 or drc <= 0:
@@ -376,19 +382,20 @@ def build_tree(X, g, h_eff, params: TreeParams, presorted=None):
             return nid
 
         f, thr, lmask = best
+        left_rows, right_rows = rows.compress(lmask), rows.compress(~lmask)
         left_orders = right_orders = None
         if depth + 1 < params.max_depth:
             # one gather splits every feature's sorted order between children
             in_left = np.zeros(n, dtype=bool)
-            in_left[rows[lmask]] = True
-            goes_left = in_left.take(orders)
-            left_orders = orders[goes_left].reshape(m, -1)
-            right_orders = orders[~goes_left].reshape(m, -1)
+            in_left[left_rows] = True
+            flat, goes_left = orders.reshape(-1), in_left.take(orders).reshape(-1)
+            left_orders = flat.compress(goes_left).reshape(m, -1)
+            right_orders = flat.compress(~goes_left).reshape(m, -1)
 
         feature[nid] = f
         threshold[nid] = thr
-        left[nid] = grow(rows[lmask], left_orders, depth + 1)
-        right[nid] = grow(rows[~lmask], right_orders, depth + 1)
+        left[nid] = grow(left_rows, left_orders, depth + 1)
+        right[nid] = grow(right_rows, right_orders, depth + 1)
         return nid
 
     with np.errstate(divide="ignore", invalid="ignore"):

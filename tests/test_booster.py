@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -476,3 +479,26 @@ def test_predict_many_adds_trees_in_fit_order(loss, params, last_chunk):
             want[lo:lo + step, j] = np.cumsum(stack.predict_many(X[lo:lo + step]), axis=0)[-1]
         want[:, j] = db.clamp_to_domain(want[:, j], p.domain)
     assert model.predict_many(X).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["nb_joint", "gamma_wide", "zip_score"])
+def test_train_writes_the_bytes_of_the_earlier_scan_builder(tmp_path, monkeypatch, name):
+    # the benchmark's workload shapes at their tiny sizes, trained by `cli
+    # train` with the package's builder and with the frozen earlier one
+    from distboost import booster, cli
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    paths = workloads.WORKLOADS[name]("tiny").setup(str(tmp_path), 1)
+
+    def train(tag):
+        model, trace = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        assert cli.main(["train", "--data", paths["train"], "--config", paths["config"],
+                         "--out", str(model), "--trace", str(trace)]) == 0
+        return model.read_bytes(), trace.read_bytes()
+
+    default = train("default")
+    monkeypatch.setattr(booster, "build_tree", oracles.ref_build_tree_scan)
+    assert train("scan") == default
+    sizes = [n for p in json.loads(default[0])["params"] for n in p["trees"]["size"]]
+    assert max(sizes) > 1

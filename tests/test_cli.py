@@ -726,3 +726,108 @@ def test_shipped_config_runs_gen_train_predict_eval(tmp_path, capsys, dist, n, s
     names = db.load(model).param_names
     assert names == db.make_loss(doc["loss"]["name"], doc["loss"]["nuisance"]).param_names
     assert preds.read_text().splitlines()[0] == ",".join(names)
+
+
+# ---------------------------------------------------------------------------
+# seeded mutation guard: whatever the edit to a model file, run config, CSV
+# or gen spec, `main` returns 0 or 2
+
+_ODD_VALUES = (None, True, "x", "", [], {}, [1.0], {"a": 1})
+_EXTREMES = (0, 0.0, -1, 0.5, 1e300, -1e300, 2 ** 63)
+_BYTES = b'0,.-eE\n\r" x9\xff\x00'
+
+
+def _mutate_json(doc, rng, skip=()):
+    """One seeded edit of a JSON document: delete a key or item, repeat a
+    list item, set a number to zero or an extreme, or swap a value's type."""
+    doc = json.loads(json.dumps(doc))
+    paths = [p for p in _key_paths(doc) if p not in skip]
+    path = paths[rng.integers(len(paths))]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    key, value, op = path[-1], node[path[-1]], rng.integers(4)
+    if op == 0:
+        del node[key]
+    elif op == 1 and isinstance(value, list) and value:
+        value.insert(rng.integers(len(value)), value[rng.integers(len(value))])
+    elif op == 2 and isinstance(value, (int, float)) and not isinstance(value, bool):
+        node[key] = _EXTREMES[rng.integers(len(_EXTREMES))]
+    else:
+        node[key] = _ODD_VALUES[rng.integers(len(_ODD_VALUES))]
+    return doc
+
+
+def _mutate_bytes(data, rng):
+    """One to three seeded byte edits: replace, delete or insert a byte,
+    repeat a line, or cut the file short."""
+    data = bytearray(data)
+    for _ in range(rng.integers(1, 4)):
+        i, op = int(rng.integers(len(data) + 1)), rng.integers(5)
+        byte = _BYTES[rng.integers(len(_BYTES))]
+        if op == 0 and i < len(data):
+            data[i] = byte
+        elif op == 1:
+            del data[i:i + 1]
+        elif op == 2:
+            data.insert(i, byte)
+        elif op == 3:
+            start = data.rfind(b"\n", 0, i) + 1
+            end = data.find(b"\n", i)
+            end = len(data) if end < 0 else end + 1
+            data[start:start] = data[start:end]
+        else:
+            del data[i:]
+    return bytes(data)
+
+
+@pytest.fixture
+def negbin_run(tmp_path, capsys):
+    """A 60-row negbin CSV with exposure and adjustment, its two-parameter
+    run config at 2 rounds, the trained model, and the gen spec."""
+    spec = json.loads((_ROOT / "configs/negbin_gen_params.json").read_text())
+    config = json.loads((_ROOT / "configs/negbin_exposure.json").read_text())
+    config["total_rounds"] = 2
+    for block in config["params"]:
+        block["min_leaf_samples"] = 5
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["gen", "--dist", "negbin", "--n", "60", "--seed", "1",
+                 "--params", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--config", str(tmp_path / "config.json"),
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    return {"spec": spec, "config": config, "model": json.loads(model.read_text()),
+            "data": data.read_bytes(), "dir": tmp_path}
+
+
+# total_rounds is never edited: a float like 1e300 passes as an integer
+# and train would run without end
+@pytest.mark.parametrize("target, count", [("config", 120), ("model", 120), ("csv", 80),
+                                           ("spec", 80)])
+def test_seeded_mutations_exit_0_or_2(negbin_run, capsys, target, count):
+    run = negbin_run
+    d = run["dir"]
+    bad, data, model, out = (str(d / name) for name in ("bad", "data.csv", "model.json", "out"))
+    commands = {
+        "config": [["train", "--data", data, "--config", bad, "--out", out]],
+        "model": [["predict", "--model", bad, "--data", data, "--out", out]],
+        "csv": [["predict", "--model", model, "--data", bad, "--out", out],
+                ["eval", "--model", model, "--data", bad, "--exposure-col", "exposure",
+                 "--adjustment-col", "adjustment"]],
+        "spec": [["gen", "--dist", "negbin", "--n", "30", "--seed", "1", "--params", bad,
+                  "--out", out]],
+    }[target]
+    rng = np.random.default_rng(["config", "model", "csv", "spec"].index(target))
+    for i in range(count):
+        if target == "csv":
+            (d / "bad").write_bytes(_mutate_bytes(run["data"], rng))
+        else:
+            doc = _mutate_json(run[target], rng, skip={("total_rounds",)})
+            (d / "bad").write_text(json.dumps(doc))
+        for argv in commands:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in err, (
+                target, i, (d / "bad").read_bytes()[:2000], err)

@@ -318,11 +318,20 @@ def _window_stress_instance(seed):
     g = rng.integers(-3, 4, n).astype(np.float64) if rng.random() < 0.5 else rng.normal(size=n)
     g *= rng.choice([1.0, 1e8, 1e-8])
     h = rng.random(n) * (rng.random(n) > 0.3)
+    if seed % 2:
+        g[g == 0] = -0.0
+        h[h == 0] = -0.0
     params = db.TreeParams(lambda_reg=float(rng.choice([0.0, 1e-9, 1.0])),
                            a=float(rng.choice([0.0, 0.25, 0.5])),
                            max_depth=int(rng.integers(1, 5)),
                            min_leaf_samples=int(rng.integers(1, 5)))
     return X, g, h, params
+
+
+def _assert_same_tree_bytes(tree, ref, label):
+    # bytes, not values: -0.0 and 0.0 compare equal
+    for name in ("feature", "threshold", "left", "right", "weight"):
+        assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), (label, name)
 
 
 def test_builder_matches_earlier_scan_builder_bitwise():
@@ -335,11 +344,39 @@ def test_builder_matches_earlier_scan_builder_bitwise():
             with pytest.raises(NumericError):
                 db.build_tree(X, g, h, params)
             continue
-        tree = db.build_tree(X, g, h, params)
-        for name in ("feature", "threshold", "left", "right", "weight"):
-            assert np.array_equal(getattr(tree, name), getattr(ref, name)), (seed, name)
+        _assert_same_tree_bytes(db.build_tree(X, g, h, params), ref, seed)
         built += 1
     assert built >= 1000
+
+
+def _large_instance(kind):
+    """Instances above 8192 rows, where numpy may buffer a strided reduction.
+    "wide" has the benchmark's gamma_wide shape: 8 continuous columns and 8
+    factors of 2 to 8 levels, grown to depth 4 with min_leaf_samples 1."""
+    rng = np.random.default_rng(97)
+    if kind == "wide":
+        n = 9000
+        X = np.column_stack([rng.random((n, 8))]
+                            + [rng.integers(0, k, n) for k in (2, 3, 4, 5, 6, 7, 8, 8)])
+        g = rng.normal(size=n)
+        params = db.TreeParams(lambda_reg=10.0, a=0.5, max_depth=4, min_leaf_samples=1)
+    else:  # ties: few distinct values, a mirrored column, integer gradients
+        n = 12000
+        X = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+        X[:, 1] = -X[:, 0]
+        g = rng.integers(-3, 4, n) * 1e8
+        params = db.TreeParams(lambda_reg=1e-9, a=0.25, max_depth=3, min_leaf_samples=3)
+    g[rng.random(n) < 0.1] = -0.0
+    h = rng.random(n) * (rng.random(n) > 0.3)
+    return X, g, h, params
+
+
+@pytest.mark.parametrize("kind", ["wide", "ties"])
+def test_builder_matches_earlier_scan_builder_bitwise_above_8192_rows(kind):
+    X, g, h, params = _large_instance(kind)
+    ref = oracles.ref_build_tree_scan(X, g, h, params)
+    assert ref.n_leaves > 4
+    _assert_same_tree_bytes(db.build_tree(X, g, h, params), ref, kind)
 
 
 # ---------------------------------------------------------------------------
