@@ -18,7 +18,7 @@ gradients tame and clipping/clamping rare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,18 +104,19 @@ def _check_eta(eta, where=""):
         raise ValidationError(f"{where}eta must lie in (0, 1], got {eta}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamEnsemble:
     """Base value plus the ordered trees fitted for one parameter."""
 
     name: str
     base_value: float
     domain: ParameterDomain
-    trees: list  # of (RegressionTree, eta at fit time)
+    trees: tuple  # of (RegressionTree, eta at fit time); train grows a list
 
 
 class BoostedModel:
-    """Per-parameter base values and tree ensembles; immutable after training.
+    """Per-parameter base values and tree ensembles; immutable after
+    construction, which copies every parameter's list of trees.
 
     Prediction for parameter j is the base value plus the shrunken sum of
     its trees, clamped once into the parameter's working interval.  The sum
@@ -131,7 +132,7 @@ class BoostedModel:
         if not self.feature_names or len(set(self.feature_names)) != len(self.feature_names):
             raise ValidationError(
                 f"feature_names must be nonempty and distinct, got {self.feature_names}")
-        self.params = list(params)
+        self.params = tuple(replace(p, trees=tuple(p.trees)) for p in params)
         # per parameter, validated once: base value as one-leaf tree -1, then trees shrunk by eta
         self._stacks = []
         for j, p in enumerate(self.params):
@@ -210,10 +211,11 @@ class TrainResult:
 def train(ds: Dataset, loss: Loss, configs, total_rounds):
     """Run the boosting loop and return the model plus its training trace.
 
-    Within a round, parameters update sequentially in index order, but all
-    gradients were evaluated at the pre-round state.  The per-sample
-    estimate path is clamped into the working interval after every update;
-    the path (not tree replay) is what gradients and the loss trace see.
+    Estimates are one float64 array per parameter, the list the loss takes.
+    A round takes every active parameter's statistics at the pre-round state,
+    then fits their trees in index order, clamping each updated array into
+    its working interval.  That path (not tree replay) is what gradients and
+    the loss trace see.
     """
     if not isinstance(total_rounds, (int, np.integer)) or int(total_rounds) < 0:
         raise ValidationError("total_rounds must be a nonnegative integer")
@@ -250,36 +252,31 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
     y, expo, adj = ds.response, ds.exposure, ds.adjustment
     presorted = presort_features(X)
 
-    theta = np.empty((n, l))
-    for j in range(l):
-        theta[:, j] = base[j]
-    theta_cols = [theta[:, j] for j in range(l)]
+    theta = [np.full(n, b) for b in base]
     clamped = np.zeros((n, l), dtype=bool)
     ensembles = [ParamEnsemble(loss.param_names[j], base[j], domains[j], [])
                  for j in range(l)]
 
-    initial_nll = float(np.sum(loss.value(theta_cols, y, expo, adj)))
+    initial_nll = float(np.sum(loss.value(theta, y, expo, adj)))
     if not math.isfinite(initial_nll):
         raise NumericError("training loss is non-finite at the start point")
 
     trace = []
     for t in range(1, total_rounds + 1):
         ridx = t - 1
-        active = []
+        max_abs_g = [None] * l
+        n_grad_clipped = [0] * l
+        n_hess_zeroed = [0] * l
+        n_clamped = [0] * l
+        # Simultaneous-update semantics: all statistics at the pre-round state.
+        fits = []
         for j, cfg in enumerate(configs):
             scheduled = ridx >= cfg.offset and (ridx - cfg.offset) % cfg.interval == 0
             capped = cfg.rounds is not None and len(ensembles[j].trees) >= cfg.rounds
-            if scheduled and not capped:
-                active.append(j)
-
-        # Simultaneous-update semantics: all statistics at the pre-round state.
-        stats = {}
-        n_grad_clipped = [0] * l
-        n_hess_zeroed = [0] * l
-        for j in active:
-            cfg = configs[j]
-            raw_g = loss.grad(j, theta_cols, y, expo, adj)
-            raw_h = loss.hess(j, theta_cols, y, expo, adj)
+            if not scheduled or capped:
+                continue
+            raw_g = loss.grad(j, theta, y, expo, adj)
+            raw_h = loss.hess(j, theta, y, expo, adj)
             g = clip_gradient(raw_g, cfg.clip_m)
             h = effective_hessian(raw_h)
             assert np.all(np.abs(g) <= cfg.clip_m)
@@ -287,31 +284,25 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
             # rows that clipping or zeroing changed
             n_grad_clipped[j] = int(np.count_nonzero(g != raw_g))
             n_hess_zeroed[j] = int(np.count_nonzero(h != raw_h))
-            stats[j] = (g, h)
-
-        max_abs_g = [None] * l
-        n_clamped = [0] * l
-        for j in active:
-            cfg = configs[j]
-            g, h = stats[j]
             max_abs_g[j] = float(np.max(np.abs(g)))
+            fits.append((j, cfg, g, h))
+
+        for j, cfg, g, h in fits:
             fitted = build_tree(X, g, h, cfg.tree, presorted)
-            step = cfg.eta * fitted.predict_many(X)
-            raw = theta[:, j] + step
-            new = clamp_to_domain(raw, domains[j])
-            hit = new != raw
+            raw = theta[j] + cfg.eta * fitted.predict_many(X)
+            theta[j] = clamp_to_domain(raw, domains[j])
+            hit = theta[j] != raw
             n_clamped[j] = int(np.sum(hit))
             clamped[:, j] |= hit
-            theta[:, j] = new
-            assert domains[j].contains(theta[:, j])
+            assert domains[j].contains(theta[j])
             ensembles[j].trees.append((fitted, cfg.eta))
 
-        nll = float(np.sum(loss.value(theta_cols, y, expo, adj)))
+        nll = float(np.sum(loss.value(theta, y, expo, adj)))
         if not math.isfinite(nll):
             raise TrainingError(f"non-finite training loss at round {t}", t)
         trace.append(RoundRecord(
             round=t,
-            active=tuple(j in active for j in range(l)),
+            active=tuple(m is not None for m in max_abs_g),
             train_nll=nll,
             max_abs_grad=tuple(max_abs_g),
             clamped_rows=tuple(n_clamped),
@@ -321,4 +312,4 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
 
     model = BoostedModel(loss.name, loss.nuisance, ds.feature_names, ensembles)
     return TrainResult(model=model, trace=trace, initial_nll=initial_nll,
-                       final_theta=theta, clamped=clamped)
+                       final_theta=np.column_stack(theta), clamped=clamped)

@@ -20,6 +20,8 @@ def _is_number(v):
 
 
 _MAX = sys.float_info.max
+# above 2^53 a float no longer holds every integer, and no count is that large
+_MAX_INT = 2 ** 53
 
 # kind -> (description, test, conversion); integers may be written as 3.0.
 # The tests settle the exact types that json.loads returns first.
@@ -27,9 +29,10 @@ _KINDS = {
     "number": ("a finite number",
                lambda v: type(v) is float and -_MAX <= v <= _MAX
                or _is_number(v) and abs(v) <= _MAX, float),
-    "integer": ("an integer",
-                lambda v: type(v) is int
-                or _is_number(v) and (isinstance(v, int) or v.is_integer()), int),
+    "integer": ("an integer of magnitude at most 2^53",
+                lambda v: (type(v) is int
+                           or _is_number(v) and (isinstance(v, int) or v.is_integer()))
+                and -_MAX_INT <= v <= _MAX_INT, int),
     "string": ("a string", lambda v: isinstance(v, str), None),
     "array": ("an array", lambda v: isinstance(v, list), None),
     "object": ("an object", lambda v: isinstance(v, dict), None),

@@ -170,14 +170,13 @@ class RegressionTree:
         return feat, child, int(feat.max(initial=-1)) + 1
 
     def _leaves(self, X):
-        """Leaf node of every row in every tree: shape roots.shape + (rows,)."""
+        """Leaf node of every row in every tree: shape roots.shape + (rows,).
+        Every row takes max(depth, 1) steps; a leaf is its own child."""
         feat, child, width = self._router
         n, m = X.shape
         if m < width:
             raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
         roots = self.roots[..., None]
-        if not self.depth:
-            return np.broadcast_to(roots, self.roots.shape + (n,))
         # every row starts at its tree's root, so the first step reads one column per tree
         node = child.take(2 * roots + (X.T[feat.take(self.roots)] < self.threshold.take(roots)))
         flat = np.ascontiguousarray(X).reshape(-1)

@@ -89,6 +89,31 @@ def test_gamma_concave_region_derivatives():
     assert float(loss.hess(0, (10.0,), 4.0)) == pytest.approx(-0.01, abs=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0, 100.0])
+def test_gamma_kernels_match_mpmath_at_the_edges(alpha):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    # mu from 1e-6 y to 1e6 y, through the gradient's zero at mu = y and the
+    # hessian's at mu = 2y
+    ratio = np.append(np.geomspace(1e-6, 1e6, 25), [1.0, 2.0])
+    y, mu = (a.ravel() for a in np.meshgrid(np.geomspace(1e-3, 1e3, 13), ratio))
+    mu = mu * y
+    loss = db.gamma_nll(alpha)
+    value, grad, hess = loss.value((mu,), y), loss.grad(0, (mu,), y), loss.hess(0, (mu,), y)
+    a = mp.mpf(alpha)
+    for yi, mi, v, g, h in zip(y, mu, value, grad, hess):
+        yy, mm = mp.mpf(float(yi)), mp.mpf(float(mi))
+        # each quantity against its largest term, since grad and hess cross zero
+        terms = (a * mp.log(mm), a * yy / mm, mp.loggamma(a), a * mp.log(a),
+                 (a - 1) * mp.log(yy))
+        true_v = terms[0] + terms[1] - terms[3] + terms[2] - terms[4]
+        assert abs(v - true_v) <= 1e-15 * max(map(abs, terms)), (alpha, yi, mi)
+        assert abs(g - (a / mm - a * yy / mm**2)) <= 1e-15 * max(a / mm, a * yy / mm**2), (
+            alpha, yi, mi)
+        true_h = -a / mm**2 + 2 * a * yy / mm**3
+        assert abs(h - true_h) <= 1e-15 * max(a / mm**2, 2 * a * yy / mm**3), (alpha, yi, mi)
+
+
 def test_gamma_rejects_bad_inputs():
     loss = db.gamma_nll(5.0)
     with pytest.raises(ValidationError):

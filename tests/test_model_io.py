@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -237,6 +238,23 @@ def test_squared_error_domain_may_span_zero(tmp_path):
     model = db.BoostedModel("squared_error", {}, ("x1",), [
         db.ParamEnsemble("theta", -3.0, db.ParameterDomain(-5.0, 1.0), [])])
     assert db.load(_write(tmp_path, model_io.model_to_dict(model))).predict([0.5]) == (-3.0,)
+
+
+def test_model_keeps_its_own_copy_of_the_trees():
+    stump = db.RegressionTree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                              [0.0, -1.0, 1.0])
+    trees = [(stump, 0.5)]
+    block = db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-10.0, 10.0), trees)
+    model = db.BoostedModel("squared_error", {}, ("x1",), [block])
+    X = np.array([[0.1], [0.9]])
+    text = model_io.dumps(model)
+    trees.append((stump, 0.5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.trees = trees
+    assert model.predict([0.9]) == (0.5,)
+    assert model_io.dumps(model) == text
+    assert model_io.model_from_dict(json.loads(text)).predict([0.9]) == (0.5,)
+    assert np.array_equal(model.predict_many(X), [[-0.5], [0.5]])
 
 
 def _stump_model(loss_name, nuisance, names, domain, features):
