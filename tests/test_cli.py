@@ -347,11 +347,11 @@ def _run(argv, capsys):
     ({"loss": {"name": "gamma", "nuisance": {"alpha": "x"}}}, "alpha"),
     ({"total_rounds": 3.7}, "config.total_rounds"),
     ({"total_rounds": True}, "config.total_rounds"),
-    ({"total_rounds": 1e308}, "config.total_rounds"),
-    ({"total_rounds": 2 ** 63}, "config.total_rounds"),
     ({"params": [{"max_depth": "3"}]}, "config.params[0].max_depth"),
     ({"params": [{"domain": [1.0, "x"]}]}, "config.params[0].domain[1]"),
     ({"seed": -1, "holdout_fraction": 0.2}, "seed"),
+    ({"total_rounds": 1e308}, "config.total_rounds"),
+    ({"total_rounds": 2 ** 63}, "config.total_rounds"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, overrides, field):
     data = _gamma_csv(tmp_path, n=60)
