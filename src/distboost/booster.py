@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import NumericError, TrainingError, ValidationError
+from .fields import count, typed
 from .losses import Loss, ParameterDomain
 from .tree import RegressionTree, TreeParams, build_tree, presort_features
 
@@ -39,8 +40,7 @@ def clip_gradient(g, m):
     Non-finite inputs are mapped to the band edge: +m for NaN, the signed
     edge for infinities, so a single degenerate sample cannot poison a leaf.
     """
-    m = float(m)
-    if not (math.isfinite(m) and m > 0):
+    if not typed(m, "number", "clip threshold m", ValidationError) > 0:
         raise ValidationError("clip threshold m must be positive and finite")
     g = np.asarray(g, dtype=np.float64)
     return _like_input(np.where(np.isnan(g), m, np.clip(g, -m, m)))
@@ -86,21 +86,19 @@ class ParamTrainConfig:
 
     def __post_init__(self):
         _check_eta(self.eta)
-        if self.rounds is not None and int(self.rounds) < 0:
-            raise ValidationError("rounds cap must be >= 0")
-        if not (math.isfinite(self.clip_m) and self.clip_m > 0):
+        if self.rounds is not None:
+            count(self.rounds, "rounds", ValidationError)
+        if not typed(self.clip_m, "number", "clip_m", ValidationError) > 0:
             raise ValidationError("clip_m must be positive and finite")
-        if int(self.interval) < 1:
-            raise ValidationError("interval must be >= 1")
-        if int(self.offset) < 0:
-            raise ValidationError("offset must be >= 0")
-        if self.base_value is not None and not math.isfinite(self.base_value):
-            raise ValidationError("base_value override must be finite")
+        count(self.interval, "interval", ValidationError, 1)
+        count(self.offset, "offset", ValidationError)
+        if self.base_value is not None:
+            typed(self.base_value, "number", "base_value", ValidationError)
 
 
 def _check_eta(eta, where=""):
     """Training's rule for a learning rate, also applied to loaded trees."""
-    if not 0.0 < eta <= 1.0:
+    if not 0.0 < typed(eta, "number", f"{where}eta", ValidationError) <= 1.0:
         raise ValidationError(f"{where}eta must lie in (0, 1], got {eta}")
 
 
@@ -217,9 +215,7 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
     its working interval.  That path (not tree replay) is what gradients and
     the loss trace see.
     """
-    if not isinstance(total_rounds, (int, np.integer)) or int(total_rounds) < 0:
-        raise ValidationError("total_rounds must be a nonnegative integer")
-    total_rounds = int(total_rounds)
+    total_rounds = count(total_rounds, "total_rounds", ValidationError)
     l = loss.n_params
     if len(configs) != l:
         raise ValidationError(

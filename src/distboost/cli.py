@@ -15,7 +15,7 @@ import sys
 
 from . import booster, dataset, evaluate, losses, model_io
 from .errors import DistboostError, ValidationError
-from .fields import Fields, parse_json, read_json
+from .fields import Fields, count, parse_json, read_json
 from .tree import TreeParams
 
 _TOP_KEYS = {"loss", "response_col", "exposure_col", "adjustment_col",
@@ -73,13 +73,8 @@ def parse_run_config(doc):
     f = Fields(doc, "config", ValidationError, _TOP_KEYS)
     lf = Fields(f.get("loss", "object"), "config.loss", ValidationError, _LOSS_KEYS)
     loss = losses.make_loss(lf.get("name", "string"), lf.get("nuisance", "object", None))
-
-    total_rounds = f.get("total_rounds", "integer")
-    if total_rounds < 0:
-        raise ValidationError("config: total_rounds must be >= 0")
-    seed = f.get("seed", "integer", 0)
-    if seed < 0:
-        raise ValidationError("config: seed must be >= 0")
+    total_rounds = count(f.get("total_rounds", "integer"), "config.total_rounds", ValidationError)
+    seed = count(f.get("seed", "integer", 0), "config.seed", ValidationError)
 
     blocks = f.get("params", "array", None)
     if blocks is None:

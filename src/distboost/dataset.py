@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .fields import read_text, typed, typed_items
+from .fields import count, read_text, typed, typed_items
 
 SYNTHETIC_DISTRIBUTIONS = ("gamma", "zip", "negbin")
 
@@ -246,6 +246,10 @@ def load_csv(path, response_col, exposure_col=None, adjustment_col=None,
 def write_table(path, header, rows):
     """Write the header, then one line per row of str() cells: for Python floats
     (e.g. from ndarray.tolist()) the shortest decimal that reads back exactly."""
+    for name in header:
+        if "," in name or name != name.strip() or len(name.splitlines()) > 1:
+            raise ValidationError(f"{path}: column name {name!r} would not read back: it "
+                                  "holds a comma, a line break or edge whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
@@ -313,7 +317,7 @@ class PiecewiseParamMap:
 def _rng(seed):
     # Philox is counter-based, so streams are identical across platforms
     # and independent of draw batching.
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def generate_synthetic(dist, n, seed, param_fn,
@@ -329,11 +333,8 @@ def generate_synthetic(dist, n, seed, param_fn,
     if dist not in SYNTHETIC_DISTRIBUTIONS:
         raise ValidationError(
             f"unknown distribution '{dist}'; expected one of {SYNTHETIC_DISTRIBUTIONS}")
-    n = int(n)
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if int(seed) < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    n = count(n, "n", ValidationError, 1)
+    seed = count(seed, "seed", ValidationError)
 
     rng = _rng(seed)
     X = rng.random((n, 2))
@@ -414,7 +415,7 @@ def split_holdout(ds, fraction, seed):
     if n < 2:
         raise ValidationError("cannot split a dataset with fewer than 2 rows")
     k = min(n - 1, max(1, int(math.floor(n * float(fraction)))))
-    perm = _rng(seed).permutation(n)
+    perm = _rng(count(seed, "seed", ValidationError)).permutation(n)
     hold = np.sort(perm[:k])
     main = np.sort(perm[k:])
     return (ds.take(main, source=f"{ds.source}[main]"),

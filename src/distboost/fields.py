@@ -1,6 +1,7 @@
 """Typed reads from JSON documents: run configs, generator specs and model files.
 
-`read_text` reads every input file, JSON or CSV, as UTF-8.
+`read_text` reads every input file, JSON or CSV, as UTF-8.  Every count, in
+a document or in a Python call, reads through `count`.
 
 Every failure raises the error class the caller names (ValidationError, or
 ModelFormatError for model files) with the path of the offending field, so
@@ -10,13 +11,14 @@ a malformed document exits the CLI with code 2 and a message.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 
 _MISSING = object()
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (float, numbers.Integral)) and not isinstance(v, bool)
 
 
 _MAX = sys.float_info.max
@@ -28,7 +30,7 @@ _MAX_INT = 2 ** 53
 _KINDS = {
     "number": ("a finite number",
                lambda v: type(v) is float and -_MAX <= v <= _MAX
-               or _is_number(v) and abs(v) <= _MAX, float),
+               or _is_number(v) and -_MAX <= v <= _MAX, float),
     "integer": ("an integer of magnitude at most 2^53",
                 lambda v: (type(v) is int
                            or _is_number(v) and (isinstance(v, int) or v.is_integer()))
@@ -45,6 +47,13 @@ def typed(value, kind, where, error):
     if not test(value):
         raise error(f"{where}: expected {what}, got {value!r:.40}")
     return value if convert is None else convert(value)
+
+
+def count(value, where, error, least=0):
+    """value as an 'integer' of at least `least`; numpy integers are counts too."""
+    if typed(value, "integer", where, error) < least:
+        raise error(f"{where} must be >= {least}, got {value}")
+    return int(value)
 
 
 def typed_items(values, kind, where, error):

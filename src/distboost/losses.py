@@ -26,7 +26,7 @@ from scipy.special import digamma, gammaln, polygamma
 
 from .dataset import Dataset
 from .errors import ValidationError
-from .fields import typed
+from .fields import count, typed
 
 
 def log_gamma(x):
@@ -53,7 +53,8 @@ class ParameterDomain:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        lo, hi = (typed(v, "number", "domain", ValidationError) for v in (self.lo, self.hi))
+        if not lo < hi:
             raise ValidationError(f"invalid domain [{self.lo}, {self.hi}]")
 
     def clip(self, x):
@@ -225,8 +226,8 @@ class GammaNLL(Loss):
     param_names = ("mu",)
 
     def __init__(self, alpha):
-        alpha = float(alpha)
-        if not (math.isfinite(alpha) and alpha > 0):
+        alpha = typed(alpha, "number", "gamma shape alpha", ValidationError)
+        if not alpha > 0:
             raise ValidationError("gamma shape alpha must be a positive finite number")
         super().__init__({"alpha": alpha})
         self.alpha = alpha
@@ -272,8 +273,8 @@ class ZipNLL(Loss):
     param_names = ("mu",)
 
     def __init__(self, alpha):
-        alpha = float(alpha)
-        if not (math.isfinite(alpha) and 0 < alpha <= 1):
+        alpha = typed(alpha, "number", "zip mixing weight alpha", ValidationError)
+        if not 0 < alpha <= 1:
             raise ValidationError("zip mixing weight alpha must lie in (0, 1]")
         super().__init__({"alpha": alpha})
         self.alpha = alpha
@@ -524,9 +525,7 @@ def check_admissibility(loss, y_samples, grid_points=512):
     it decreases into at most one local minimum and increases after it, or
     is monotonic; anything else fails, with the offending minima reported.
     """
-    grid_points = int(grid_points)
-    if grid_points < 100:
-        raise ValidationError("grid_points must be >= 100")
+    grid_points = count(grid_points, "grid_points", ValidationError, 100)
     y_samples = [float(v) for v in np.atleast_1d(np.asarray(y_samples, dtype=np.float64))]
     if not y_samples:
         raise ValidationError("y_samples must be nonempty")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .fields import count, typed
 
 
 @dataclass(frozen=True)
@@ -30,16 +31,14 @@ class TreeParams:
     min_leaf_samples: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_reg) and self.gamma_reg >= 0):
+        if not typed(self.gamma_reg, "number", "gamma_reg", ValidationError) >= 0:
             raise ValidationError("gamma_reg must be finite and >= 0")
-        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
+        if not typed(self.lambda_reg, "number", "lambda_reg", ValidationError) >= 0:
             raise ValidationError("lambda_reg must be finite and >= 0")
-        if not (math.isfinite(self.a) and 0.0 <= self.a <= 0.5):
+        if not 0.0 <= typed(self.a, "number", "a", ValidationError) <= 0.5:
             raise ValidationError("a must lie in [0, 1/2]")
-        if int(self.max_depth) < 1:
-            raise ValidationError("max_depth must be >= 1")
-        if int(self.min_leaf_samples) < 1:
-            raise ValidationError("min_leaf_samples must be >= 1")
+        count(self.max_depth, "max_depth", ValidationError, 1)
+        count(self.min_leaf_samples, "min_leaf_samples", ValidationError, 1)
 
 
 def _denominator(sum_h_eff, a, lambda_reg):

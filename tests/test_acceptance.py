@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
 import contextlib
+import pathlib
 import time
 
 import numpy as np
@@ -240,7 +241,7 @@ def test_ac8_determinism_and_round_trip(tmp_path):
         p1, p2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
         db.save(db.train(ds, loss, cfgs, 40).model, p1)
         db.save(db.train(ds, loss, cfgs, 40).model, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
         model = db.load(p1)
         rng = np.random.default_rng(0)

@@ -46,7 +46,7 @@ def test_train_eval_predict_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "final_train_nll=" in out
 
-    trace_lines = open(trace).read().splitlines()
+    trace_lines = pathlib.Path(trace).read_text().splitlines()
     assert trace_lines[0] == ("round,active_mu,train_nll,"
                               "max_abs_grad_mu,clamped_rows_mu,"
                               "grad_clipped_mu,hess_zeroed_mu")
@@ -59,7 +59,7 @@ def test_train_eval_predict_pipeline(tmp_path, capsys):
     preds = str(tmp_path / "preds.csv")
     assert main(["predict", "--model", model, "--data", data,
                  "--out", preds]) == 0
-    lines = open(preds).read().splitlines()
+    lines = pathlib.Path(preds).read_text().splitlines()
     assert lines[0] == "mu"
     assert len(lines) - 1 == 400
     assert all(float(v) > 0 for v in lines[1:10])
@@ -170,7 +170,7 @@ def test_eval_and_predict_bind_features_by_name(tmp_path, capsys):
                            if line.startswith("total_nll=")))
         out = str(tmp_path / f"preds{len(preds)}.csv")
         assert main(["predict", "--model", model, "--data", path, "--out", out]) == 0
-        preds.append(open(out, "rb").read())
+        preds.append(pathlib.Path(out).read_bytes())
     assert totals[0] == totals[1]
     assert preds[0] == preds[1]
 
@@ -205,7 +205,7 @@ def test_gen_writes_expected_csv(tmp_path, capsys):
     out2 = str(tmp_path / "synth2.csv")
     assert main(["gen", "--dist", "negbin", "--n", "200", "--seed", "7",
                  "--params", params, "--out", out2]) == 0
-    assert open(out).read() == open(out2).read()
+    assert pathlib.Path(out).read_text() == pathlib.Path(out2).read_text()
 
 
 _GEN_CELLS = [[{"mu": 1.0, "alpha": 2.0}, {"mu": 2.0, "alpha": 2.0}],
@@ -265,6 +265,20 @@ def test_check_loss_grid_beyond_memory_exit_2(capsys):
     assert code == 2 and "--grid 100000000000" in err
 
 
+@pytest.mark.parametrize("flag", ["gen --n", "gen --seed", "check-loss --grid"])
+def test_counts_beyond_2_to_the_53_exit_2(tmp_path, capsys, flag):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"cuts": [[], []], "cells": [[{"mu": 1.0, "alpha": 2.0}]]}))
+    command, option = flag.split()
+    argv = {"gen": ["gen", "--dist", "gamma", "--n", "10", "--seed", "1",
+                    "--params", str(params), "--out", str(tmp_path / "g.csv")],
+            "check-loss": ["check-loss", "--loss", "gamma", "--nuisance", '{"alpha": 5}',
+                           "--y-samples", "1,2"]}[command]
+    argv += [option, "10000000000000000000"]  # argparse keeps the last value
+    code, err = _run(argv, capsys)
+    assert code == 2 and "expected an integer of magnitude at most 2^53" in err
+
+
 def test_check_loss_pass_and_fail(capsys):
     assert main(["check-loss", "--loss", "gamma", "--nuisance",
                  '{"alpha": 5}', "--y-samples", "0.1,4,100"]) == 0
@@ -314,7 +328,7 @@ def test_eval_writes_json_report(tmp_path, capsys):
                  "--out", model]) == 0
     assert main(["eval", "--model", model, "--data", data,
                  "--out", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(pathlib.Path(report).read_text())
     assert set(doc) == {"model_id", "dataset_id", "n", "total_nll", "mean_nll"}
     assert doc["n"] == 400
 
@@ -365,7 +379,7 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, overrides, field):
 @pytest.mark.parametrize("block, message", [
     ({"eta": 0}, "eta must lie in (0, 1], got 0.0"),
     ({"domain": [5, 1]}, "invalid domain [5.0, 1.0]"),
-    ({"max_depth": 0}, "max_depth must be >= 1"),
+    ({"max_depth": 0}, "max_depth must be >= 1, got 0"),
 ], ids=["eta", "domain", "max-depth"])
 def test_param_block_errors_name_the_block(tmp_path, capsys, block, message):
     config = _gamma_config(tmp_path, loss={"name": "negbin", "nuisance": {}},
@@ -377,9 +391,9 @@ def test_param_block_errors_name_the_block(tmp_path, capsys, block, message):
 
 def _corrupt(path, offset):
     """Overwrite the byte at offset with 0xff, which UTF-8 never uses."""
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(pathlib.Path(path).read_bytes())
     data[offset] = 0xFF
-    open(path, "wb").write(bytes(data))
+    pathlib.Path(path).write_bytes(bytes(data))
     return path
 
 
@@ -421,7 +435,7 @@ def _trained_gamma_model(tmp_path, capsys, **overrides):
     model = str(tmp_path / "model.json")
     assert main(["train", "--data", data, "--config", config, "--out", model]) == 0
     capsys.readouterr()
-    return data, json.loads(open(model).read())
+    return data, json.loads(pathlib.Path(model).read_text())
 
 
 def test_malformed_model_fields_exit_2(tmp_path, capsys):
@@ -594,7 +608,7 @@ def _key_paths(node, prefix=()):
 # trace columns
 
 def _read_trace(path):
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -78,9 +80,28 @@ def test_write_table_round_trips_floats(tmp_path):
     values = np.array([[0.1, 1e-300], [2.0 / 3.0, 12345678912345.678]])
     path = str(tmp_path / "t.csv")
     db.write_table(path, ["a", "b"], values.tolist())
-    assert open(path).read().splitlines()[:2] == ["a,b", "0.1,1e-300"]
+    assert pathlib.Path(path).read_text().splitlines()[:2] == ["a,b", "0.1,1e-300"]
     header, table = db.read_table(path)
     assert header == ["a", "b"] and np.array_equal(table, values)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "a\u2028b", "a\x1cb",
+                                  " a", "a ", "a\t", "a\n"])
+def test_write_table_refuses_a_header_cell_read_table_cannot_read_back(tmp_path, name):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match=re.escape(f"column name {name!r}")):
+        db.write_csv(db.Dataset([[1.0, 2.0]], [3.0], feature_names=[name, "x"]), path)
+    assert not path.exists()
+
+
+def test_write_csv_round_trips_ordinary_column_names(tmp_path):
+    ds = db.Dataset([[1.0, 2.0, 0.5], [3.0, 4.0, 1.5]], [5.0, 6.0],
+                    feature_names=["a b", "x_1", "über"])
+    path = tmp_path / "t.csv"
+    db.write_csv(ds, path)
+    back = db.load_csv(path, "y")
+    assert back.feature_names == ds.feature_names
+    assert np.array_equal(back.features, ds.features)
 
 
 def test_load_csv_duplicate_column(tmp_path):
@@ -142,7 +163,7 @@ _PROBES = [
 
 def _rescan_error(path):
     """The message the per-cell loop alone raises for the whole file."""
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     header = [c.strip() for c in lines[0].split(",")]
     with pytest.raises(DataError) as exc:
         db.dataset._parse_lines(path, header, lines[1:], 2)
@@ -262,7 +283,7 @@ def test_write_then_read_table_is_bit_exact(tmp_path_factory, table, budget, dat
     header = [f"c{j}" for j in range(values.shape[1])]
     db.write_table(path, header, values.tolist())
     # blank lines and CRLF endings mixed into the body
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     text = lines[0] + "\n" + "".join(
         "\r\n" * data.draw(st.integers(0, 2)) + line
         + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines[1:])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ def test_save_is_deterministic_and_idempotent(tmp_path):
     p1, p2, p3 = (str(tmp_path / f"{i}.json") for i in range(3))
     db.save(model, p1)
     db.save(model, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
     db.save(db.load(p1), p3)
-    assert open(p1, "rb").read() == open(p3, "rb").read()
+    assert pathlib.Path(p1).read_bytes() == pathlib.Path(p3).read_bytes()
 
 
 def test_zero_tree_model_round_trip(tmp_path):
@@ -55,7 +56,7 @@ def test_zero_tree_model_round_trip(tmp_path):
     ])
     path = str(tmp_path / "m.json")
     db.save(model, path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(pathlib.Path(path).read_text())
     assert [p["name"] for p in doc["params"]] == ["beta", "gamma"]
     assert all(p["trees"] == {"eta": [], "size": [], "feature": [], "threshold": [],
                               "left": [], "right": [], "weight": []} for p in doc["params"])
@@ -67,7 +68,7 @@ def test_two_param_blocks_in_index_order(tmp_path):
     model = _trained_model(n_params=2)
     path = str(tmp_path / "m.json")
     db.save(model, path)
-    doc = json.loads(open(path).read())
+    doc = json.loads(pathlib.Path(path).read_text())
     assert doc["format_version"] == 2
     assert [p["name"] for p in doc["params"]] == ["beta", "gamma"]
     for block, param in zip(doc["params"], model.params):
