@@ -124,6 +124,12 @@ class Dataset:
 _PARSE_BUDGET = 1 << 14
 
 
+def _check_distinct(path, header, error):
+    dupes = sorted({c for c in header if header.count(c) > 1})
+    if dupes:
+        raise error(f"{path}: duplicate column name(s): {', '.join(dupes)}")
+
+
 def read_table(path):
     """Read a headered all-numeric CSV into (column names, (n, k) array).
 
@@ -140,9 +146,7 @@ def read_table(path):
         raise DataError(f"{path}: empty file (header row required)")
 
     header = [c.strip() for c in lines.pop(0).split(",")]
-    if len(set(header)) != len(header):
-        dupes = sorted({c for c in header if header.count(c) > 1})
-        raise DataError(f"{path}: duplicate column name(s): {', '.join(dupes)}")
+    _check_distinct(path, header, DataError)
 
     # lines[i] is file line i + 2; blank lines are skipped
     k = len(header)
@@ -250,6 +254,7 @@ def write_table(path, header, rows):
         if "," in name or name != name.strip() or len(name.splitlines()) > 1:
             raise ValidationError(f"{path}: column name {name!r} would not read back: it "
                                   "holds a comma, a line break or edge whitespace")
+    _check_distinct(path, header, ValidationError)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
@@ -267,8 +272,6 @@ def write_csv(ds, path):
         if not np.all(values == 1.0):
             cols.append(name)
             arrays.append(values)
-    if len(set(cols)) != len(cols):
-        raise ValidationError("column name collision when writing CSV")
     write_table(path, cols, np.column_stack(arrays).tolist())
 
 
@@ -409,12 +412,13 @@ def split_holdout(ds, fraction, seed):
     parts are nonempty.  Row order within each part follows the original
     dataset, and the two parts reunite to the original row multiset.
     """
-    if not (0.0 < float(fraction) < 1.0):
+    fraction = typed(fraction, "number", "holdout fraction", ValidationError)
+    if not 0.0 < fraction < 1.0:
         raise ValidationError(f"holdout fraction must be in (0, 1), got {fraction}")
     n = ds.n_rows
     if n < 2:
         raise ValidationError("cannot split a dataset with fewer than 2 rows")
-    k = min(n - 1, max(1, int(math.floor(n * float(fraction)))))
+    k = min(n - 1, max(1, int(math.floor(n * fraction))))
     perm = _rng(count(seed, "seed", ValidationError)).permutation(n)
     hold = np.sort(perm[:k])
     main = np.sort(perm[k:])

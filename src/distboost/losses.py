@@ -63,10 +63,6 @@ class ParameterDomain:
     def contains(self, x):
         return bool(np.all((np.asarray(x) >= self.lo) & (np.asarray(x) <= self.hi)))
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
 
 class Loss:
     """Base class: an l-parameter per-sample loss.
@@ -288,7 +284,10 @@ class ZipNLL(Loss):
         if a == 1.0:
             return -y * np.log(mu) + mu + log_gamma(y + 1.0)
         z = mu / a
-        v_zero = -np.log((1.0 - a) + a * np.exp(-z))
+        # s = (1 - a) + a e^-z = 1 + t; log1p(t) keeps the digits of t while
+        # s >= 1/2, and below that the two positive terms of s keep its own
+        t = a * np.expm1(-z)
+        v_zero = np.where(t >= -0.5, -np.log1p(t), -np.log((1.0 - a) + a * np.exp(-z)))
         v_pos = (y - 1.0) * math.log(a) - y * np.log(mu) + z + log_gamma(y + 1.0)
         return np.where(y == 0, v_zero, v_pos)
 
@@ -308,20 +307,34 @@ class ZipNLL(Loss):
             return y / mu**2
         ez = np.exp(-mu / a)
         s = (1.0 - a) + a * ez
-        return np.where(y == 0, ez * (ez - s / a) / s**2, y / mu**2)
+        return np.where(y == 0, -(1.0 - a) * ez / (a * s**2), y / mu**2)
 
     def mle_init(self, ds):
-        # No closed form for fixed alpha; the constant-mu likelihood is
-        # unimodal, so a golden-section scan over the working interval does.
+        # The constant-mu score is n0 e^-z / s + n_pos / a - sum(y) / mu, with
+        # z = mu / a and s = (1 - a) + a e^-z.  It is negative near 0 and
+        # n0 e^-z / s >= 0 at mu = a sum(y) / n_pos, so bisect between the
+        # two until the midpoint is one of the ends.  alpha = 1 is Poisson.
         y = self.validate_response(ds.response)
         (dom,) = self.default_domains(ds)
-        e, adj = ds.exposure, ds.adjustment
+        a, total, n_pos = self.alpha, float(np.sum(y)), int(np.count_nonzero(y))
+        if a == 1.0:
+            return (float(dom.clip(total / y.size)),)
+        if n_pos == 0:
+            return (dom.lo,)
+        n0 = y.size - n_pos
 
-        def total(mu):
-            return float(np.sum(self.value((mu,), y, e, adj)))
+        def score(mu):
+            ez = math.exp(-mu / a)
+            return n0 * ez / ((1.0 - a) + a * ez) + n_pos / a - total / mu
 
-        mu_hat = _golden_section_min(total, dom.lo, dom.hi, 1e-8 * dom.width)
-        return (float(dom.clip(mu_hat)),)
+        lo, hi = dom.lo, float(dom.clip(a * total / n_pos))
+        if score(lo) >= 0:
+            return (lo,)
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            lo, hi = (mid, hi) if score(mid) < 0 else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        return (hi,)
 
     def default_domains(self, ds=None):
         top = max(float(np.mean(ds.response)), 1.0) if ds is not None else 1.0
@@ -459,27 +472,6 @@ def make_loss(name, nuisance=None):
         raise ValidationError(f"loss '{name}' got unknown nuisance key(s): {', '.join(unknown)}")
     return cls(**{k: typed(nuisance[k], "number", f"loss '{name}' nuisance '{k}'",
                            ValidationError) for k in required})
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_min(f, lo, hi, tol):
-    """Golden-section search for the minimum of a unimodal f on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,15 @@ def test_write_table_refuses_a_header_cell_read_table_cannot_read_back(tmp_path,
     assert not path.exists()
 
 
+def test_write_table_refuses_a_repeated_column_name(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match=r"duplicate column name\(s\): a$"):
+        db.write_table(path, ["a", "b", "a"], [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValidationError, match=r"duplicate column name\(s\): y$"):
+        db.write_csv(db.Dataset([[1.0]], [2.0], feature_names=["y"]), path)
+    assert not path.exists()
+
+
 def test_write_csv_round_trips_ordinary_column_names(tmp_path):
     ds = db.Dataset([[1.0, 2.0, 0.5], [3.0, 4.0, 1.5]], [5.0, 6.0],
                     feature_names=["a b", "x_1", "über"])

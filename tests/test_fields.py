@@ -83,6 +83,7 @@ def test_train_runs_three_rounds_for_three_point_zero_and_numpy_three():
     (lambda v: db.clip_gradient(1.0, v), "clip threshold m"),
     (lambda v: db.losses.GammaNLL(v), "gamma shape alpha"),
     (lambda v: db.losses.ZipNLL(v), "zip mixing weight alpha"),
+    (lambda v: db.split_holdout(_DS, v, 1), "holdout fraction"),
 ])
 @pytest.mark.parametrize("bad", ["1", True, float("nan"), float("inf")])
 def test_real_valued_fields_reject_what_is_not_a_finite_number(build, where, bad):

@@ -171,17 +171,79 @@ def test_zip_rejects_bad_inputs():
         db.zip_nll(1.5)
 
 
-def test_zip_mle_init_matches_grid_minimum():
-    ds = db.generate_synthetic("zip", 400, 5,
-                               lambda X: {"mu": 2.0, "alpha": 0.5})
-    loss = db.zip_nll(0.5)
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.5, 0.9, 0.999999, 1.0])
+def test_zip_kernels_match_mpmath_at_the_edges(alpha):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    eps = np.finfo(np.float64).eps
+    # four points a decade, from where 1 - alpha + alpha e^-z loses digits to
+    # where e^-z underflows
+    y, mu = (v.ravel() for v in np.meshgrid([0.0, 1.0, 2.0, 7.0, 40.0, 1000.0],
+                                            np.geomspace(1e-10, 1e4, 57)))
+    loss = db.zip_nll(alpha)
+    value, grad, hess = loss.value((mu,), y), loss.grad(0, (mu,), y), loss.hess(0, (mu,), y)
+    a = mp.mpf(alpha)
+    for yi, mi, v, g, h in zip(y, mu, value, grad, hess):
+        yy, mm = mp.mpf(float(yi)), mp.mpf(float(mi))
+        z = mm / a
+        if yi == 0:
+            ez = mp.exp(-z)
+            s = (1 - a) + a * ez
+            # each against itself; rounding z = mu / alpha costs e^-z a relative z eps
+            tz = (float(z) + 4) * eps
+            want = ((v, -mp.log(s), 1e-15), (g, ez / s, tz), (h, -(1 - a) * ez / (a * s**2), tz))
+            bounds = [(got, true, rel * abs(true)) for got, true, rel in want]
+        else:
+            # the value and gradient against their largest term, as both can cross 0
+            terms = ((yy - 1) * mp.log(a), yy * mp.log(mm), z, mp.loggamma(yy + 1))
+            bounds = [(v, terms[0] - terms[1] + terms[2] + terms[3], 1e-15 * max(map(abs, terms))),
+                      (g, 1 / a - yy / mm, 1e-15 * max(1 / a, yy / mm)),
+                      (h, yy / mm**2, 1e-15 * yy / mm**2)]
+        for got, true, bound in bounds:
+            if abs(true) >= 1e-290:  # below that, float64 underflows
+                assert abs(got - true) <= bound, (alpha, yi, mi, got, true)
+
+
+def _zip_score(y, alpha, mu):
+    # the derivative of the total constant-mu NLL, term for term as mle_init takes it
+    n_pos = int(np.count_nonzero(y))
+    ez = math.exp(-mu / alpha)
+    return ((y.size - n_pos) * ez / ((1.0 - alpha) + alpha * ez) + n_pos / alpha
+            - float(np.sum(y)) / mu)
+
+
+def _zip_rows(mu, n, seed):
+    return db.generate_synthetic("zip", n, seed, lambda X: {"mu": mu, "alpha": 0.5}).response
+
+
+@pytest.mark.parametrize("alpha, y, root", [
+    (0.5, _zip_rows(2.0, 400, 5), "interior"),
+    (0.5, _zip_rows(0.012, 500, 3), "interior"),
+    (1.0, _zip_rows(2.0, 400, 5), "mean"),
+    (0.5, np.zeros(50), "floor"),
+    (0.3, 1.0 + np.arange(40) % 7, "no-zeros"),
+], ids=["mean-2", "low-mean", "alpha-1", "all-zeros", "no-zeros"])
+def test_zip_mle_init_is_the_exact_constant_fit(alpha, y, root):
+    ds = db.Dataset(np.zeros((y.size, 1)), y)
+    loss = db.zip_nll(alpha)
     (mu_hat,) = loss.mle_init(ds)
     (dom,) = loss.default_domains(ds)
     assert dom.lo <= mu_hat <= dom.hi
-    grid = np.geomspace(max(dom.lo, 1e-3), min(dom.hi, 1e3), 4000)
-    totals = [float(np.sum(loss.value((m,), ds.response))) for m in grid]
-    best = grid[int(np.argmin(totals))]
-    assert mu_hat == pytest.approx(best, rel=5e-3)
+    if root == "interior":
+        assert 0 < np.count_nonzero(y) < y.size
+        assert _zip_score(y, alpha, np.nextafter(mu_hat, 0)) < 0 <= _zip_score(
+            y, alpha, np.nextafter(mu_hat, np.inf))
+    elif root == "mean":
+        assert mu_hat == float(np.sum(y)) / y.size
+    elif root == "floor":
+        assert mu_hat == dom.lo
+    else:
+        target = alpha * float(np.sum(y)) / np.count_nonzero(y)
+        assert abs(mu_hat - target) <= np.spacing(target)
+    # no nearby constant scores a lower total NLL
+    near = dom.clip(mu_hat * np.array([0.999, 1.0, 1.001]))
+    total = [float(np.sum(loss.value((m,), y))) for m in near]
+    assert total[1] <= min(total)
 
 
 # ---------------------------------------------------------------------------
