@@ -8,8 +8,8 @@ regularization.  A round proceeds as:
      evaluated at the same pre-round state (simultaneous-update semantics),
   2. per-sample gradients are clipped to [-M_j, M_j] and hessians replaced
      by max(0, h), which is what makes non-convex losses trainable,
-  3. one tree per active parameter is fitted and applied with shrinkage,
-     the updated estimates clamped into the parameter's working interval.
+  3. one tree per active parameter is fitted and added, shrunken, to the
+     parameter's tree sum, which the losses see clamped into its domain.
 
 Estimates start from the constant maximum-likelihood fit, which keeps early
 gradients tame and clipping/clamping rare.
@@ -190,7 +190,8 @@ class RoundRecord:
     active: tuple             # per-parameter bool
     train_nll: float
     max_abs_grad: tuple       # per-parameter float or None when inactive
-    clamped_rows: tuple       # per-parameter count of rows clamped this round
+    clamped_rows: tuple       # per-parameter count of rows whose tree sum lies
+                              # outside its domain after this round
     grad_clipped: tuple       # per-parameter count of rows whose raw gradient was
                               # NaN or outside [-clip_m, clip_m]
     hess_zeroed: tuple        # per-parameter count of rows whose raw hessian was
@@ -203,24 +204,24 @@ class TrainResult:
     trace: list               # of RoundRecord, one per round
     initial_nll: float
     final_theta: np.ndarray   # (n, l) training-path estimates
-    clamped: np.ndarray       # (n, l) bool: row ever clamped during training
+    clamped: np.ndarray       # (n, l) bool: tree sum outside the domain after some round
 
 
 def train(ds: Dataset, loss: Loss, configs, total_rounds):
     """Run the boosting loop and return the model plus its training trace.
 
-    Estimates are one float64 array per parameter, the list the loss takes.
+    Each parameter keeps an unclamped sum: its base value plus eta times each
+    tree's output, added in fit order as BoostedModel.predict_many adds them.
     A round takes every active parameter's statistics at the pre-round state,
-    then fits their trees in index order, clamping each updated array into
-    its working interval.  That path (not tree replay) is what gradients and
-    the loss trace see.
+    then fits their trees in index order.  The losses see each sum clamped
+    into its domain, so the saved model predicts the training path bitwise.
     """
     total_rounds = count(total_rounds, "total_rounds", ValidationError)
     l = loss.n_params
     if len(configs) != l:
         raise ValidationError(
             f"loss '{loss.name}' has {l} parameter(s) but {len(configs)} config blocks given")
-    loss.validate_response(ds.response)
+    loss.validate_rows(ds)
 
     defaults = loss.default_domains(ds)
     # the rules that need the loss, checked once, before the first tree
@@ -235,20 +236,16 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
     domains = [cfg.domain if cfg.domain is not None else defaults[j]
                for j, cfg in enumerate(configs)]
 
-    if any(cfg.base_value is None for cfg in configs):
-        mle = loss.mle_init(ds)
-    else:
-        mle = (None,) * l
-    base = [clamp_to_domain(cfg.base_value if cfg.base_value is not None else mle[j],
-                            domains[j])
+    mle = loss.mle_init(ds) if any(cfg.base_value is None for cfg in configs) else (None,) * l
+    base = [clamp_to_domain(mle[j] if cfg.base_value is None else cfg.base_value, domains[j])
             for j, cfg in enumerate(configs)]
 
-    n = ds.n_rows
-    X = ds.features
+    n, X = ds.n_rows, ds.features
     y, expo, adj = ds.response, ds.exposure, ds.adjustment
     presorted = presort_features(X)
 
-    theta = [np.full(n, b) for b in base]
+    sums = [np.full(n, b) for b in base]
+    theta = [clamp_to_domain(s, d) for s, d in zip(sums, domains)]
     clamped = np.zeros((n, l), dtype=bool)
     ensembles = [ParamEnsemble(loss.param_names[j], base[j], domains[j], [])
                  for j in range(l)]
@@ -275,7 +272,6 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
             raw_h = loss.hess(j, theta, y, expo, adj)
             g = clip_gradient(raw_g, cfg.clip_m)
             h = effective_hessian(raw_h)
-            assert np.all(np.abs(g) <= cfg.clip_m)
             # NaN compares unequal to everything, so these count exactly the
             # rows that clipping or zeroing changed
             n_grad_clipped[j] = int(np.count_nonzero(g != raw_g))
@@ -285,12 +281,11 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
 
         for j, cfg, g, h in fits:
             fitted = build_tree(X, g, h, cfg.tree, presorted)
-            raw = theta[j] + cfg.eta * fitted.predict_many(X)
-            theta[j] = clamp_to_domain(raw, domains[j])
-            hit = theta[j] != raw
+            sums[j] += cfg.eta * fitted.predict_many(X)
+            theta[j] = clamp_to_domain(sums[j], domains[j])
+            hit = theta[j] != sums[j]
             n_clamped[j] = int(np.sum(hit))
             clamped[:, j] |= hit
-            assert domains[j].contains(theta[j])
             ensembles[j].trees.append((fitted, cfg.eta))
 
         nll = float(np.sum(loss.value(theta, y, expo, adj)))

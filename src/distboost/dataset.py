@@ -57,10 +57,8 @@ class Dataset:
         exposure = self._positive_column(exposure, n, "exposure")
         adjustment = self._positive_column(adjustment, n, "adjustment")
 
-        if feature_names is None:
-            feature_names = tuple(f"x{j + 1}" for j in range(m))
-        else:
-            feature_names = tuple(str(c) for c in feature_names)
+        feature_names = (tuple(f"x{j + 1}" for j in range(m)) if feature_names is None
+                         else tuple(str(c) for c in feature_names))
         if len(feature_names) != m:
             raise DataError(f"{len(feature_names)} feature names for {m} features")
         if len(set(feature_names)) != m:
@@ -299,10 +297,8 @@ class PiecewiseParamMap:
         if len(cells) != n1 or any(len(row) != n2 for row in cells):
             raise ValidationError(f"cells must form a {n1}x{n2} grid")
         keys = set(cells[0][0])
-        for row in cells:
-            for cell in row:
-                if set(cell) != keys:
-                    raise ValidationError("all cells must define the same parameter keys")
+        if any(set(cell) != keys for row in cells for cell in row):
+            raise ValidationError("all cells must define the same parameter keys")
         self.keys = tuple(sorted(keys))
         self._tables = {
             k: np.asarray([[typed(cell[k], "number", f"cells[{i}][{j}].{k}", ValidationError)

@@ -51,7 +51,7 @@ def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):
     if ds.feature_names != model.feature_names:
         raise ValidationError(f"dataset features ({', '.join(ds.feature_names)}) do not "
                               f"match the model's ({', '.join(model.feature_names)})")
-    loss.validate_response(ds.response)
+    loss.validate_rows(ds)
     theta = model.predict_many(ds.features)
     values = np.asarray(loss.value([theta[:, j] for j in range(model.n_params)],
                                    ds.response, ds.exposure, ds.adjustment))

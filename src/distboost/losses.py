@@ -78,6 +78,7 @@ class Loss:
     # True only when hess(j, ...) > 0 for every parameter, theta and response;
     # then a leaf's denominator stays positive with lambda_reg = 0 and a > 0
     hess_positive = False
+    row_columns: tuple = ()  # the Dataset columns besides y that value/grad/hess read
 
     def __init__(self, nuisance=None):
         self.nuisance = dict(nuisance or {})
@@ -106,6 +107,15 @@ class Loss:
     def validate_response(self, y):
         """y as a float64 array; ValidationError when it is outside the loss's support."""
         return np.asarray(y, dtype=np.float64)
+
+    def validate_rows(self, ds: Dataset):
+        """validate_response of ds's response; ValidationError for an exposure or
+        adjustment column that is not all ones when the loss does not read it."""
+        for col in ("exposure", "adjustment"):
+            if col not in self.row_columns and not np.all(getattr(ds, col) == 1.0):
+                raise ValidationError(f"loss '{self.name}' does not read {col}, "
+                                      "so that column must be all 1")
+        return self.validate_response(ds.response)
 
     @functools.cached_property
     def must_be_positive(self):
@@ -358,6 +368,7 @@ class NegBinNLL(Loss):
 
     name = "negbin"
     param_names = ("beta", "gamma")
+    row_columns = ("exposure", "adjustment")
 
     def validate_response(self, y):
         return _check_count_response(y, "negbin")
@@ -531,10 +542,7 @@ def check_admissibility(loss, y_samples, grid_points=512):
     slices = []
     for j in range(loss.n_params):
         dom = domains[j]
-        if dom.lo > 0:
-            grid = np.geomspace(dom.lo, dom.hi, grid_points)
-        else:
-            grid = np.linspace(dom.lo, dom.hi, grid_points)
+        grid = (np.geomspace if dom.lo > 0 else np.linspace)(dom.lo, dom.hi, grid_points)
         for y in y_samples:
             theta = [np.full(grid_points, init[k]) for k in range(loss.n_params)]
             theta[j] = grid

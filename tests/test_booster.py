@@ -286,14 +286,40 @@ def test_tight_clipping_and_narrow_domain_guards():
     assert np.all((preds >= 3.5) & (preds <= 5.5))
 
 
-def test_replay_consistency_when_nothing_clamps():
-    ds = db.generate_synthetic("gamma", 150, 8,
-                               lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 5.0),
-                                          "alpha": 2.0})
-    cfg = db.ParamTrainConfig(eta=0.1, clip_m=1e6,
-                              tree=db.TreeParams(lambda_reg=1.0, max_depth=3))
-    res = db.train(ds, db.gamma_nll(2.0), [cfg], 50)
-    assert not res.clamped.any()
+def _replay_fit(case):
+    """The data and training result of one replay case: a gamma fit whose
+    domain never binds, AC-7's narrow gamma domain, or both negbin
+    parameters in narrow domains on AC-8's data."""
+    if case == "no_clamp":
+        ds = db.generate_synthetic("gamma", 150, 8,
+                                   lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 5.0),
+                                              "alpha": 2.0})
+        cfg = db.ParamTrainConfig(eta=0.1, clip_m=1e6,
+                                  tree=db.TreeParams(lambda_reg=1.0, max_depth=3))
+        return ds, db.train(ds, db.gamma_nll(2.0), [cfg], 50)
+    if case == "ac7":
+        ds = db.generate_synthetic("gamma", 500, 17,
+                                   lambda X: {"mu": np.where(X[:, 0] < 0.5, 3.0, 6.0),
+                                              "alpha": 5.0})
+        cfg = db.ParamTrainConfig(eta=0.5, clip_m=0.5, domain=db.ParameterDomain(3.5, 5.5),
+                                  tree=db.TreeParams(lambda_reg=0.1, max_depth=2))
+        return ds, db.train(ds, db.gamma_nll(5.0), [cfg], 50)
+    ds = db.generate_synthetic("negbin", 1500, 18,
+                               lambda X: {"beta": np.where(X[:, 0] < 0.5, 1.0, 2.0),
+                                          "gamma": 2.0},
+                               exposure_choices=[0.5, 1.0, 2.0])
+    cfgs = [db.ParamTrainConfig(eta=0.1, domain=db.ParameterDomain(lo, hi),
+                                tree=db.TreeParams(max_depth=3))
+            for lo, hi in ((0.8, 1.6), (1.5, 3.0))]
+    return ds, db.train(ds, db.negbin_nll(), cfgs, 60)
+
+
+@pytest.mark.parametrize("case", ["no_clamp", "ac7", "nb_narrow"])
+def test_saved_model_replays_the_training_path(case):
+    # the model clamps the tree sum once, as training does, so it predicts
+    # every training row bitwise, rows whose sum left the domain included
+    ds, res = _replay_fit(case)
+    assert res.clamped.any() == (case != "no_clamp")
     preds = res.model.predict_many(ds.features)
     assert np.array_equal(preds, res.final_theta)
 

@@ -75,6 +75,45 @@ def test_train_with_holdout_prints_holdout_nll(tmp_path, capsys):
     assert "holdout_nll=" in out
 
 
+def test_final_train_nll_is_the_eval_total_nll_when_rows_clamp(tmp_path, capsys):
+    # both negbin parameters in narrow domains, so rows clamp: the trace
+    # scores the path the saved model predicts
+    ds = db.generate_synthetic("negbin", 1500, 18,
+                               lambda X: {"beta": np.where(X[:, 0] < 0.5, 1.0, 2.0),
+                                          "gamma": 2.0},
+                               exposure_choices=[0.5, 1.0, 2.0])
+    data, model = str(tmp_path / "nb.csv"), str(tmp_path / "m.json")
+    db.write_csv(ds, data)
+    config = _gamma_config(tmp_path, loss={"name": "negbin"}, total_rounds=60,
+                           exposure_col="exposure",
+                           params=[{"eta": 0.1, "max_depth": 3, "domain": domain}
+                                   for domain in ([0.8, 1.6], [1.5, 3.0])])
+    trace = str(tmp_path / "trace.csv")
+    assert main(["train", "--data", data, "--config", config, "--out", model,
+                 "--trace", trace]) == 0
+    final = re.search(r"^final_train_nll=(.*)$", capsys.readouterr().out, re.M).group(1)
+    assert sum(int(r["clamped_rows_beta"]) for r in _read_trace(trace)) > 0
+    assert main(["eval", "--model", model, "--data", data, "--exposure-col", "exposure"]) == 0
+    assert re.search(r"^total_nll=(.*)$", capsys.readouterr().out, re.M).group(1) == final
+
+
+@pytest.mark.parametrize("col", ["exposure", "adjustment"])
+def test_columns_the_loss_does_not_read_exit_2(tmp_path, capsys, col):
+    ds = db.generate_synthetic("zip", 200, 5, lambda X: {"mu": 1.0, "alpha": 0.5},
+                               **{f"{col}_choices": [0.1, 5.0]})
+    data, plain, model = (str(tmp_path / name) for name in ("data.csv", "plain.csv", "m.json"))
+    db.write_csv(ds, data)
+    db.write_csv(db.Dataset(ds.features, ds.response), plain)
+    loss = {"name": "zip", "nuisance": {"alpha": 0.5}}
+    config = _gamma_config(tmp_path, loss=loss, total_rounds=2, **{f"{col}_col": col})
+    code, err = _run(["train", "--data", data, "--config", config, "--out", model], capsys)
+    assert code == 2 and f"loss 'zip' does not read {col}" in err
+    assert main(["train", "--data", plain, "--config", _gamma_config(tmp_path, loss=loss),
+                 "--out", model]) == 0
+    code, err = _run(["eval", "--model", model, "--data", data, f"--{col}-col", col], capsys)
+    assert code == 2 and f"loss 'zip' does not read {col}" in err
+
+
 def test_config_validation_failures_exit_2(tmp_path, capsys):
     data = _gamma_csv(tmp_path)
     model = str(tmp_path / "model.json")

@@ -58,12 +58,39 @@ def test_training_trace_matches_nll_score_replay():
                                lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 5.0),
                                           "alpha": 2.0})
     loss = db.gamma_nll(2.0)
-    cfg = db.ParamTrainConfig(eta=0.1, clip_m=1e6,
-                              tree=db.TreeParams(max_depth=3, lambda_reg=1.0))
-    res = db.train(ds, loss, [cfg], 40)
-    assert not res.clamped.any()
-    report = db.nll_score(res.model, loss, ds)
-    assert report.total_nll == pytest.approx(res.trace[-1].train_nll, rel=1e-9)
+    # the default domain never binds; [2.5, 4.5] clamps both groups of rows
+    for domain, clamps in ((None, False), (db.ParameterDomain(2.5, 4.5), True)):
+        cfg = db.ParamTrainConfig(eta=0.1, clip_m=1e6, domain=domain,
+                                  tree=db.TreeParams(max_depth=3, lambda_reg=1.0))
+        res = db.train(ds, loss, [cfg], 40)
+        assert res.clamped.any() == clamps
+        report = db.nll_score(res.model, loss, ds)
+        assert report.total_nll == res.trace[-1].train_nll
+
+
+@pytest.mark.parametrize("col", ["exposure", "adjustment"])
+@pytest.mark.parametrize("loss", [db.squared_error(), db.gamma_nll(2.0), db.zip_nll(0.5)],
+                         ids=lambda loss: loss.name)
+def test_losses_refuse_a_column_they_do_not_read(loss, col):
+    ones = db.Dataset([[0.0], [1.0]], [1.0, 2.0], **{col: [1.0, 1.0]})
+    other = db.Dataset([[0.0], [1.0]], [1.0, 2.0], **{col: [0.1, 5.0]})
+    model = _constant_model(loss, ones)
+    cfg = [db.ParamTrainConfig(tree=db.TreeParams(max_depth=1))]
+    db.train(ones, loss, cfg, 1)
+    db.nll_score(model, loss, ones)
+    message = f"loss '{loss.name}' does not read {col}"
+    with pytest.raises(ValidationError, match=message):
+        db.train(other, loss, cfg, 1)
+    with pytest.raises(ValidationError, match=message):
+        db.nll_score(model, loss, other)
+
+
+def test_negbin_reads_exposure_and_adjustment():
+    ds = db.generate_synthetic("negbin", 200, 5, lambda X: {"beta": 1.0, "gamma": 2.0},
+                               exposure_choices=[0.1, 5.0], adjustment_choices=[0.5, 2.0])
+    loss = db.negbin_nll()
+    res = db.train(ds, loss, [db.ParamTrainConfig(), db.ParamTrainConfig()], 2)
+    assert db.nll_score(res.model, loss, ds).total_nll == res.trace[-1].train_nll
 
 
 def test_count_losses_have_nonnegative_per_sample_nll():
