@@ -114,7 +114,7 @@ class Loss:
         for col in ("exposure", "adjustment"):
             if col not in self.row_columns and not np.all(getattr(ds, col) == 1.0):
                 raise ValidationError(f"loss '{self.name}' does not read {col}, "
-                                      "so that column must be all 1")
+                                      "so that column must be all ones")
         return self.validate_response(ds.response)
 
     @functools.cached_property

@@ -6,8 +6,8 @@ CSV.  No tiny workload clamps a row, so one more case, "ac7_clamp", pins the
 model and trace that `cli train` writes for the AC-7 fit, whose narrow
 domain clamps rows.  byte_manifest.json holds the sha256 of those files
 together with the numpy and scipy versions that wrote them, and the test
-below reruns each chain and compares.  A change that moves bytes on purpose rewrites the
-manifest with
+below reruns each chain and compares.  A change that moves bytes on
+purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_byte_manifest.py
 
