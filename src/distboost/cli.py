@@ -13,6 +13,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import booster, dataset, evaluate, losses, model_io
 from .errors import DistboostError, ValidationError
 from .fields import Fields, count, parse_json, read_json
@@ -105,11 +107,11 @@ def _write_trace(path, loss, trace):
     per_param = ("max_abs_grad", "clamped_rows", "grad_clipped", "hess_zeroed")
     cols = (["round"] + [f"active_{p}" for p in names] + ["train_nll"]
             + [f"{field}_{p}" for field in per_param for p in names])
-    dataset.write_table(path, cols, (
+    dataset.write_table(path, cols, np.array([
         [rec.round, *map(int, rec.active), rec.train_nll,
          *(v if f else "" for field in per_param
            for f, v in zip(rec.active, getattr(rec, field)))]
-        for rec in trace))
+        for rec in trace], dtype=object))
 
 
 def cmd_train(args):
@@ -147,7 +149,7 @@ def cmd_predict(args):
     X = table[:, dataset.bind_columns(args.data, header,
                                       [("feature", c) for c in model.feature_names])]
     preds = model.predict_many(X)
-    dataset.write_table(args.out, model.param_names, preds.tolist())
+    dataset.write_table(args.out, model.param_names, preds)
     print(f"wrote {preds.shape[0]} prediction rows to {args.out}")
     return 0
 

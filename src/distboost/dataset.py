@@ -117,8 +117,8 @@ class Dataset:
         return f"{self.source}|n={self.n_rows}|{self.fingerprint()[:16]}"
 
 
-# cells converted per block by read_table: one numpy conversion per block,
-# with the block's lists of cell strings as the only per-cell Python objects
+# cells per block in read_table and write_table: one numpy conversion or one
+# %-format per block, with the block's cells as the only per-cell Python objects
 _PARSE_BUDGET = 1 << 14
 
 
@@ -245,24 +245,36 @@ def load_csv(path, response_col, exposure_col=None, adjustment_col=None,
                    feature_names, source=str(path))
 
 
-def write_table(path, header, rows):
-    """Write the header, then one line per row of str() cells: for Python floats
-    (e.g. from ndarray.tolist()) the shortest decimal that reads back exactly."""
+def write_table(path, header, table):
+    """Write the header, then each row of a 2-D table (or an empty list) with one
+    column per name, every cell as str(): for a float the shortest decimal that
+    reads back exactly; an object table keeps its cells' types (1 stays 1, "" empty)."""
     for name in header:
         if "," in name or name != name.strip() or len(name.splitlines()) > 1:
             raise ValidationError(f"{path}: column name {name!r} would not read back: it "
                                   "holds a comma, a line break or edge whitespace")
     _check_distinct(path, header, ValidationError)
+    k = len(header)
+    try:
+        table = np.asarray(table)
+    except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+        raise ValidationError(f"{path}: table rows differ in length") from None
+    if not k or table.shape not in (table.shape[:1] + (k,), (0,)):
+        raise ValidationError(f"{path}: need a column name and a 2-D table with one column "
+                              f"per name; got {k} name(s), table shape {table.shape}")
+    line, step = ",".join(["%s"] * k) + "\n", max(1, _PARSE_BUDGET // k)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        for lo in range(0, len(table), step):
+            block = table[lo:lo + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_csv(ds, path):
     """Write a Dataset back to CSV using shortest round-trip decimals.
 
-    The response is written as "y", then "exposure" and "adjustment" where
-    that column is not all ones.
+    The columns, stacked into one table for write_table: the features, the
+    response as "y", then "exposure" and "adjustment" where not all ones.
     """
     cols = [*ds.feature_names, "y"]
     arrays = [ds.features, ds.response]
@@ -270,7 +282,7 @@ def write_csv(ds, path):
         if not np.all(values == 1.0):
             cols.append(name)
             arrays.append(values)
-    write_table(path, cols, np.column_stack(arrays).tolist())
+    write_table(path, cols, np.column_stack(arrays))
 
 
 class PiecewiseParamMap:

@@ -199,7 +199,7 @@ def test_eval_and_predict_bind_features_by_name(tmp_path, capsys):
     shuffled = str(tmp_path / "shuffled.csv")
     db.write_table(shuffled, ["x2", "policy_id", "y", "x1"],
                    np.column_stack([table[:, 1], np.arange(len(table)) + 1.0,
-                                    table[:, 2], table[:, 0]]).tolist())
+                                    table[:, 2], table[:, 0]]))
 
     totals, preds = [], []
     for path in (data, shuffled):
@@ -679,9 +679,13 @@ def test_trace_cells_empty_for_inactive_parameter(tmp_path, capsys):
     assert main(["train", "--data", data, "--config", config,
                  "--out", str(tmp_path / "m.json"), "--trace", trace]) == 0
     rows = _read_trace(trace)
+    # integer cells stay integers, not 1.0
+    assert [r["round"] for r in rows] == ["1", "2", "3", "4"]
+    assert [r["active_beta"] for r in rows] == ["1"] * 4
     assert [r["active_gamma"] for r in rows] == ["1", "0", "1", "0"]
     for r in rows:
         assert r["max_abs_grad_beta"] != "" and r["clamped_rows_beta"] != ""
+        assert r["clamped_rows_beta"].isdigit()
         inactive = r["active_gamma"] == "0"
         assert (r["max_abs_grad_gamma"] == "") == inactive
         assert (r["clamped_rows_gamma"] == "") == inactive
@@ -689,6 +693,16 @@ def test_trace_cells_empty_for_inactive_parameter(tmp_path, capsys):
         # the gamma hessian is a sum of squares, never negative
         cells = {r["grad_clipped_gamma"], r["hess_zeroed_gamma"]}
         assert cells == ({""} if inactive else {"0"})
+
+
+def test_trace_of_zero_rounds_is_its_header(tmp_path, capsys):
+    data = _gamma_csv(tmp_path)
+    config = _gamma_config(tmp_path, total_rounds=0)
+    trace = tmp_path / "trace.csv"
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "m.json"), "--trace", str(trace)]) == 0
+    assert trace.read_text() == ("round,active_mu,train_nll,max_abs_grad_mu,clamped_rows_mu,"
+                                 "grad_clipped_mu,hess_zeroed_mu\n")
 
 
 def test_trace_counts_clipped_gradients_and_zeroed_hessians(tmp_path, capsys):

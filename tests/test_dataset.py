@@ -103,6 +103,29 @@ def test_write_table_refuses_a_repeated_column_name(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("header, table, message", [
+    (["a", "b"], [[1.0], [2.0, 3.0]], "table rows differ in length"),
+    (["a", "b"], [[1.0, 2.0, 3.0]], r"got 2 name\(s\), table shape \(1, 3\)"),
+    (["a", "b"], [1.0, 2.0], r"got 2 name\(s\), table shape \(2,\)"),
+    (["a"], np.empty((3, 0)), r"got 1 name\(s\), table shape \(3, 0\)"),
+    ([], [], r"got 0 name\(s\), table shape \(0,\)"),
+    ([], [[1.0]], r"got 0 name\(s\), table shape \(1, 1\)"),
+], ids=["ragged", "extra-cell", "one-dim", "no-columns", "no-names", "no-names-one-cell"])
+def test_write_table_refuses_a_table_read_table_cannot_read_back(tmp_path, header, table,
+                                                                   message):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*{message}"):
+        db.write_table(path, header, table)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("table", [[], np.empty((0, 2)), np.empty((0, 2), dtype=object)])
+def test_write_table_with_no_rows_writes_the_header(tmp_path, table):
+    path = tmp_path / "t.csv"
+    db.write_table(path, ["a", "b"], table)
+    assert path.read_bytes() == b"a,b\n"
+
+
 def test_write_csv_round_trips_ordinary_column_names(tmp_path):
     ds = db.Dataset([[1.0, 2.0, 0.5], [3.0, 4.0, 1.5]], [5.0, 6.0],
                     feature_names=["a b", "x_1", "über"])
@@ -281,6 +304,25 @@ def test_read_table_block_split_matches_the_cell_by_cell_reader(tmp_path, budget
             assert table.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
+def _row_by_row(header, values):
+    return ",".join(header) + "\n" + "".join(",".join(map(str, r)) + "\n"
+                                             for r in values.tolist())
+
+
+@pytest.mark.parametrize("budget", [1, 4, 5, 7, 1 << 14])
+def test_write_table_blocks_write_the_per_row_text(tmp_path, budget):
+    # 7 rows of 2 cells: no block size above 1 row divides the row count
+    values = np.array([[-0.0, 5e-324], [1e16, 1e22], [123456789.0, 1.0], [0.0, -2.0],
+                       [1e15, 0.1], [2.0 / 3.0, -1e-300], [1.7976931348623157e308, 3.0]])
+    path = tmp_path / "t.csv"
+    with mock.patch.object(db.dataset, "_PARSE_BUDGET", budget):
+        db.write_table(path, ["a", "b"], values)
+    text = path.read_text(encoding="utf-8")
+    assert text == _row_by_row(["a", "b"], values)
+    assert text.splitlines()[1:4] == ["-0.0,5e-324", "1e+16,1e+22", "123456789.0,1.0"]
+    assert db.read_table(path)[1].tobytes() == values.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(table=st.integers(1, 5).flatmap(lambda k: st.lists(
            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
@@ -290,7 +332,10 @@ def test_write_then_read_table_is_bit_exact(tmp_path_factory, table, budget, dat
     values = np.array(table, dtype=np.float64)
     path = str(tmp_path_factory.mktemp("rt") / "t.csv")
     header = [f"c{j}" for j in range(values.shape[1])]
-    db.write_table(path, header, values.tolist())
+    # blocks of 1 to 12 cells: the same text as the per-row formula
+    with mock.patch.object(db.dataset, "_PARSE_BUDGET", budget):
+        db.write_table(path, header, values)
+    assert pathlib.Path(path).read_text(encoding="utf-8") == _row_by_row(header, values)
     # blank lines and CRLF endings mixed into the body
     lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     text = lines[0] + "\n" + "".join(
