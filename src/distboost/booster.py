@@ -250,7 +250,8 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
     ensembles = [ParamEnsemble(loss.param_names[j], base[j], domains[j], [])
                  for j in range(l)]
 
-    initial_nll = float(np.sum(loss.value(theta, y, expo, adj)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        initial_nll = float(np.sum(loss.value(theta, y, expo, adj)))
     if not math.isfinite(initial_nll):
         raise NumericError("training loss is non-finite at the start point")
 
@@ -288,7 +289,8 @@ def train(ds: Dataset, loss: Loss, configs, total_rounds):
             clamped[:, j] |= hit
             ensembles[j].trees.append((fitted, cfg.eta))
 
-        nll = float(np.sum(loss.value(theta, y, expo, adj)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            nll = float(np.sum(loss.value(theta, y, expo, adj)))
         if not math.isfinite(nll):
             raise TrainingError(f"non-finite training loss at round {t}", t)
         trace.append(RoundRecord(

@@ -162,9 +162,9 @@ def read_table(path):
         # separators sit at every (k+1)-th cell iff every row has k cells
         cells = ",\n,".join(block).split(",")
         ok = len(cells) == n * (k + 1) - 1 and cells[k::k + 1] == ["\n"] * (n - 1)
-        # numpy reads a str cell by float()'s rules, so only a block holding
-        # a defect needs the per-cell rescan that locates it; rebinding
-        # `cells` frees the block's strings before the next block is split
+        # numpy reads a str cell by float()'s rules, so a block is converted by
+        # numpy or not at all, and the per-cell rescan only names its defect;
+        # rebinding `cells` frees the block's strings before the next split
         if ok:
             del cells[k::k + 1]
             try:
@@ -173,24 +173,22 @@ def read_table(path):
             except ValueError:  # a bad cell
                 ok = False
         if not ok:
-            cells = _parse_lines(path, header, lines[lo:lo + step], lo + 2)
+            _parse_lines(path, header, lines[lo:lo + step], lo + 2)
         table[filled:filled + n] = cells
         filled += n
     return header, table
 
 
 def _parse_lines(path, header, lines, first):
-    """The non-blank lines, lines[0] being file line `first`, parsed cell by
-    cell; DataError names the line and column of the first bad cell."""
+    """Raise DataError naming the line and column of the first bad cell among
+    the lines, lines[0] being file line `first`, blank lines skipped."""
     n_cols = len(header)
-    rows = []
     for lineno, line in enumerate(lines, start=first):
         if line == "":
             continue
         cells = line.split(",")
         if len(cells) != n_cols:
             raise DataError(f"{path}: line {lineno}: expected {n_cols} cells, got {len(cells)}")
-        parsed = []
         for j, cell in enumerate(cells):
             try:
                 v = float(cell)
@@ -202,9 +200,8 @@ def _parse_lines(path, header, lines, first):
                 raise DataError(
                     f"{path}: line {lineno}, column '{header[j]}': non-finite value: {cell!r}"
                 )
-            parsed.append(v)
-        rows.append(parsed)
-    return rows
+    raise DataError(f"{path}: lines {first}-{first + len(lines) - 1}: numpy rejected a "
+                    "block in which every cell reads as a finite float")
 
 
 def bind_columns(path, header, columns):

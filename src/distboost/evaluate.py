@@ -53,8 +53,9 @@ def nll_score(model: BoostedModel, loss: Loss, ds: Dataset, model_id=None):
                               f"match the model's ({', '.join(model.feature_names)})")
     loss.validate_rows(ds)
     theta = model.predict_many(ds.features)
-    values = np.asarray(loss.value([theta[:, j] for j in range(model.n_params)],
-                                   ds.response, ds.exposure, ds.adjustment))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        values = np.asarray(loss.value([theta[:, j] for j in range(model.n_params)],
+                                       ds.response, ds.exposure, ds.adjustment))
     bad = ~np.isfinite(values)
     if bad.any():
         row = int(np.flatnonzero(bad)[0])

@@ -79,10 +79,8 @@ def _columns_to_trees(block, where):
         if len(column) != sum(sizes):
             raise ModelFormatError(f"{where}.{key}: {len(column)} entries, "
                                    f"but the sizes sum to {sum(sizes)}")
-    try:  # every column converted once, then cut into one view per tree
-        nodes = RegressionTree(*columns)
-    except OverflowError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+    # every column converted once (`fields` caps integers at 2^53), then cut per tree
+    nodes = RegressionTree(*columns)
     columns = [getattr(nodes, key) for key, _ in _NODE_COLUMNS]
     ends = np.cumsum(sizes, dtype=np.intp)
     return [(RegressionTree(*(c[end - size:end] for c in columns)), eta)

@@ -60,6 +60,19 @@ def leaf_score(sum_g, sum_h_eff, a, lambda_reg):
     return sum_g * sum_g / _denominator(sum_h_eff, a, lambda_reg)
 
 
+def _index_column(values, key):
+    """values as a node index column of np.intp, the width every consumer uses;
+    ValidationError unless they are whole numbers that fit it."""
+    column = np.asarray(values)
+    if column.dtype == np.intp:  # the per-tree views that load and stack cut
+        return column
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail the compare
+        index = column.astype(np.intp) if column.dtype.kind in "iuf" else None
+    if index is None or not np.array_equal(index, column):
+        raise ValidationError(f"node column {key} must hold whole numbers that fit np.intp")
+    return index
+
+
 class RegressionTree:
     """Immutable binary regression tree over dense feature vectors.
 
@@ -73,14 +86,17 @@ class RegressionTree:
 
     def __init__(self, feature, threshold, left, right, weight, roots=0, first=0):
         self.first = first  # the number of the first tree in error messages
-        self.feature = np.asarray(feature, dtype=np.int32)
+        self.feature = _index_column(feature, "feature")
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
+        self.left = _index_column(left, "left")
+        self.right = _index_column(right, "right")
         self.weight = np.asarray(weight, dtype=np.float64)
         self.roots = np.asarray(roots, dtype=np.intp)
-        for arr in (self.feature, self.threshold, self.left, self.right, self.weight,
-                    self.roots):
+        columns = (self.feature, self.threshold, self.left, self.right, self.weight)
+        if self.feature.ndim != 1 or any(c.shape != self.feature.shape for c in columns):
+            raise ValidationError("node columns must be 1-D with one length, got shapes "
+                                  f"{', '.join(str(c.shape) for c in columns)}")
+        for arr in (*columns, self.roots):
             arr.setflags(write=False)
 
     @classmethod
@@ -165,7 +181,7 @@ class RegressionTree:
         ids = np.arange(self.n_nodes, dtype=np.intp)
         child = np.column_stack([np.where(leaf, ids, self.right),
                                  np.where(leaf, ids, self.left)]).reshape(-1)
-        feat = np.where(leaf, 0, self.feature).astype(np.intp)
+        feat = np.where(leaf, 0, self.feature)
         return feat, child, int(feat.max(initial=-1)) + 1
 
     def _leaves(self, X):

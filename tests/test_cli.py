@@ -340,6 +340,10 @@ def test_check_loss_bad_flags(capsys):
     capsys.readouterr()
     assert main(["check-loss", "--loss", "gamma", "--nuisance",
                  '{"alpha": 5}', "--y-samples", "1,zap"]) == 2
+    capsys.readouterr()
+    assert main(["check-loss", "--loss", "gamma", "--nuisance",
+                 '{"alpha": 5}', "--y-samples", ","]) == 2
+    assert capsys.readouterr().err == "error: y_samples must be nonempty\n"
 
 
 def test_unknown_flag_errors():
@@ -370,6 +374,36 @@ def test_eval_writes_json_report(tmp_path, capsys):
     doc = json.loads(pathlib.Path(report).read_text())
     assert set(doc) == {"model_id", "dataset_id", "n", "total_nll", "mean_nll"}
     assert doc["n"] == 400
+
+
+@pytest.mark.parametrize("case", ["train-loss-overflows", "eval-loss-overflows",
+                                  "train-out-in-missing-dir", "predict-data-is-a-dir"])
+def test_numeric_and_io_failures_exit_3_and_4_with_one_error_line(tmp_path, capsys, case):
+    rng = np.random.default_rng(5)
+    X, y = rng.random((40, 1)), rng.random(40)
+    data, huge = str(tmp_path / "data.csv"), str(tmp_path / "huge.csv")
+    db.write_csv(db.Dataset(X, y), data)
+    db.write_csv(db.Dataset(X, np.concatenate([[1e200], y[1:]])), huge)  # squares to inf
+    config, model = str(tmp_path / "config.json"), str(tmp_path / "model.json")
+    pathlib.Path(config).write_text(json.dumps({"loss": {"name": "squared_error"},
+                                                "total_rounds": 3}))
+    assert main(["train", "--data", data, "--config", config, "--out", model]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "m.json")
+    argv, code, message = {
+        "train-loss-overflows": (["train", "--data", huge, "--config", config, "--out", model],
+                                 3, "training loss is non-finite at the start point"),
+        "eval-loss-overflows": (["eval", "--model", model, "--data", huge],
+                                3, "non-finite per-sample loss at row 0"),
+        "train-out-in-missing-dir": (["train", "--data", data, "--config", config,
+                                      "--out", missing],
+                                     4, f"[Errno 2] No such file or directory: '{missing}'"),
+        "predict-data-is-a-dir": (["predict", "--model", model, "--data", str(tmp_path),
+                                   "--out", str(tmp_path / "p.csv")],
+                                  4, f"[Errno 21] Is a directory: '{tmp_path}'"),
+    }[case]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_repo_example_configs_parse(tmp_path):
@@ -405,6 +439,7 @@ def _run(argv, capsys):
     ({"seed": -1, "holdout_fraction": 0.2}, "seed"),
     ({"total_rounds": 1e308}, "config.total_rounds"),
     ({"total_rounds": 2 ** 63}, "config.total_rounds"),
+    ({"params": [{"domain": [1.0]}]}, "config.params[0].domain"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, overrides, field):
     data = _gamma_csv(tmp_path, n=60)
@@ -419,7 +454,8 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, overrides, field):
     ({"eta": 0}, "eta must lie in (0, 1], got 0.0"),
     ({"domain": [5, 1]}, "invalid domain [5.0, 1.0]"),
     ({"max_depth": 0}, "max_depth must be >= 1, got 0"),
-], ids=["eta", "domain", "max-depth"])
+    ({"name": "sigma"}, "name 'sigma' != parameter 'gamma'"),
+], ids=["eta", "domain", "max-depth", "name"])
 def test_param_block_errors_name_the_block(tmp_path, capsys, block, message):
     config = _gamma_config(tmp_path, loss={"name": "negbin", "nuisance": {}},
                            params=[{}, block])
@@ -531,6 +567,16 @@ def _child_into_next_tree(trees):
                                 trees["weight"].__setitem__(trees["feature"].index(-1), 1e300)),
                  "params[0].trees: tree 0 eta must lie in (0, 1], got 1e+300",
                  id="eta-huge-on-huge-weight"),
+    # indices beyond any tree reach the structural checks, not an integer overflow
+    pytest.param(lambda trees: trees["feature"].__setitem__(0, 2 ** 40),
+                 "params[0].trees: tree 0 node 0 splits on unknown feature",
+                 id="feature-2-to-the-40"),
+    pytest.param(lambda trees: trees["left"].__setitem__(0, 2 ** 40),
+                 "params[0].trees: tree 0 node 0 has a child outside its tree",
+                 id="left-2-to-the-40"),
+    pytest.param(lambda trees: trees["right"].__setitem__(0, -2 ** 40),
+                 "params[0].trees: tree 0 node 0 has a child outside its tree",
+                 id="right-minus-2-to-the-40"),
 ])
 def test_model_with_column_defects_exit_2(tmp_path, capsys, defect, named):
     data, doc = _trained_gamma_model(tmp_path, capsys)

@@ -220,6 +220,14 @@ def test_read_table_reads_each_cell_as_float_does(tmp_path, cell):
         assert str(exc.value) == f"{path}: line 2, column 'b': {what}: {cell!r}"
 
 
+def test_rescan_of_a_block_without_a_bad_cell_still_raises():
+    # read_table rescans only a block numpy rejected; were every cell to read
+    # as a finite float, the rescan names the block's lines, blank ones included
+    with pytest.raises(DataError, match=r"^t\.csv: lines 5-7: numpy rejected a block in "
+                                        "which every cell reads as a finite float$"):
+        db.dataset._parse_lines("t.csv", ["a", "b"], ["1,2", "", "3,4"], 5)
+
+
 def _late_defect_file(tmp_path, defect_lines):
     """Three columns: valid rows filling the first block and more, the
     defect lines, more valid rows.  Returns the path and the file line of
@@ -360,6 +368,19 @@ def test_dataset_rejects_nonfinite_feature():
 def test_dataset_rejects_empty():
     with pytest.raises(DataError):
         db.Dataset(np.zeros((0, 1)), [])
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ([[[1.0], [2.0]], [1.0]], {}, "response length 1 != row count 2"),
+    ([[[1.0], [2.0]], [1.0, np.nan]], {}, "non-finite response value at row 1"),
+    ([[[1.0]], [1.0]], {"feature_names": ["a", "b"]}, "2 feature names for 1 features"),
+    ([[[1.0, 2.0]], [1.0]], {"feature_names": ["a", "a"]}, "duplicate feature names"),
+    ([[[1.0], [2.0]], [1.0, 2.0]], {"exposure": [1.0]}, "exposure length 1 != row count 2"),
+], ids=["response-length", "response-non-finite", "name-count", "duplicate-names",
+        "exposure-length"])
+def test_dataset_refuses_columns_that_do_not_fit_the_features(args, kwargs, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        db.Dataset(*args, **kwargs)
 
 
 def test_dataset_is_immutable():

@@ -147,6 +147,19 @@ def test_models_built_in_memory_are_validated():
         db.BoostedModel("squared_error", {}, ("x1",), [
             db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0),
                              [(leaf, 0.1), (leaf, 1.5)])])
+    stump = ([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0])
+    for column, value, message in (
+            (4, [0.0, 1.0, 2.0, 3.0], r"1-D with one length, got shapes \(3,\), \(3,\), "
+                                      r"\(3,\), \(3,\), \(4,\)$"),
+            (0, [[0, -1, -1]], r"1-D with one length, got shapes \(1, 3\), \(3,\)"),
+            (0, [0.7, -1, -1], "node column feature must hold whole numbers that fit np.intp"),
+            (3, [2, -1, 2.0 ** 63], "node column right must hold whole numbers")):
+        columns = list(stump)
+        columns[column] = value
+        with pytest.raises(ValidationError, match=message):
+            db.BoostedModel("squared_error", {}, ("x1",), [
+                db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0),
+                                 [(db.RegressionTree(*columns), 0.1)])])
 
 
 def test_unknown_loss_name_rejected(tmp_path):

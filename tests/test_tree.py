@@ -379,6 +379,20 @@ def test_builder_matches_earlier_scan_builder_bitwise_above_8192_rows(kind):
     _assert_same_tree_bytes(db.build_tree(X, g, h, params), ref, kind)
 
 
+def test_threshold_between_adjacent_floats_is_the_right_value():
+    # the midpoint of 1 and the next float rounds down onto 1, which would
+    # send both rows left; the builder bumps the threshold to the right value
+    hi = np.nextafter(1.0, 2.0)
+    X, g, h = np.array([[1.0], [hi]]), np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+    params = db.TreeParams(max_depth=1)
+    tree = db.build_tree(X, g, h, params)
+    assert tree.feature[0] == 0 and tree.threshold[0] == hi
+    assert np.array_equal(tree.predict_many(X),
+                          tree.weight[[tree.left[0], tree.right[0]]])
+    assert tree.weight[tree.left[0]] != tree.weight[tree.right[0]]
+    _assert_same_tree_bytes(tree, oracles.ref_build_tree_scan(X, g, h, params), "bump")
+
+
 # ---------------------------------------------------------------------------
 # prediction plumbing
 
