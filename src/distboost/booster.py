@@ -99,7 +99,7 @@ class ParamTrainConfig:
 def _check_eta(eta, where=""):
     """Training's rule for a learning rate, also applied to loaded trees."""
     if not 0.0 < typed(eta, "number", f"{where}eta", ValidationError) <= 1.0:
-        raise ValidationError(f"{where}eta must lie in (0, 1], got {eta}")
+        raise ValidationError(f"{where}eta must lie in (0, 1], got {float(eta)}")
 
 
 @dataclass(frozen=True)

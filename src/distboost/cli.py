@@ -23,12 +23,11 @@ from .tree import TreeParams
 _TOP_KEYS = {"loss", "response_col", "exposure_col", "adjustment_col",
              "total_rounds", "seed", "holdout_fraction", "trace_path", "params"}
 _LOSS_KEYS = {"name", "nuisance"}
-# parameter-block key -> JSON kind, one table per dataclass the block builds
-_TREE_KINDS = {"gamma_reg": "number", "lambda_reg": "number", "a": "number",
-               "max_depth": "integer", "min_leaf_samples": "integer"}
-_PARAM_KINDS = {"eta": "number", "rounds": "integer", "clip_m": "number",
-                "interval": "integer", "offset": "integer", "base_value": "number"}
-_PARAM_KEYS = {"name", "domain"} | _TREE_KINDS.keys() | _PARAM_KINDS.keys()
+# a parameter block is its name, then the fields of the two dataclasses it
+# builds, which type and range-check the raw values themselves
+_TREE_KEYS = {x.name for x in dataclasses.fields(TreeParams)}
+_PARAM_KEYS = ({"name"} | _TREE_KEYS
+               | {x.name for x in dataclasses.fields(booster.ParamTrainConfig)}) - {"tree"}
 _GEN_KEYS = {"cuts", "cells", "exposure_choices", "adjustment_choices"}
 
 
@@ -45,23 +44,16 @@ class RunConfig:
     param_configs: list
 
 
-def _read_fields(f, kinds, cls):
-    """cls's arguments from the keys of f in kinds; null only where cls defaults to None."""
-    nullable = {x.name for x in dataclasses.fields(cls) if x.default is None}
-    return {key: f.get(key, kind, None) if key in nullable else f.get(key, kind)
-            for key, kind in kinds.items() if key in f.obj}
-
-
 def _param_config(block, where, name):
     f = Fields(block, where, ValidationError, _PARAM_KEYS)
     given = f.get("name", "string", None)
     if given is not None and given != name:
         raise ValidationError(f"{where}: name '{given}' != parameter '{name}'")
-    args = _read_fields(f, _PARAM_KINDS, booster.ParamTrainConfig)
     domain = f.items("domain", "number", None)
     if domain is not None and len(domain) != 2:
         raise ValidationError(f"{where}.domain: expected [lo, hi]")
-    tree_args = _read_fields(f, _TREE_KINDS, TreeParams)
+    args = {key: value for key, value in f.obj.items() if key not in ("name", "domain")}
+    tree_args = {key: args.pop(key) for key in _TREE_KEYS & f.obj.keys()}
     try:
         if domain is not None:
             args["domain"] = losses.ParameterDomain(*domain)
@@ -185,13 +177,13 @@ def cmd_check_loss(args):
 
 def cmd_gen(args):
     spec = Fields(read_json(args.params, "params file", ValidationError), "params file",
-                  ValidationError, _GEN_KEYS)
-    param_fn = dataset.PiecewiseParamMap(spec.get("cuts", "array"), spec.get("cells", "array"))
+                  ValidationError, _GEN_KEYS, {"cuts", "cells"}).obj
+    param_fn = dataset.PiecewiseParamMap(spec["cuts"], spec["cells"])
     try:
         ds = dataset.generate_synthetic(
             args.dist, args.n, args.seed, param_fn,
-            exposure_choices=spec.items("exposure_choices", "number", None),
-            adjustment_choices=spec.items("adjustment_choices", "number", None),
+            exposure_choices=spec.get("exposure_choices"),
+            adjustment_choices=spec.get("adjustment_choices"),
         )
     except MemoryError:
         raise ValidationError(f"--n {args.n}: too many rows to hold in memory") from None

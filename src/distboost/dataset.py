@@ -31,8 +31,8 @@ class Dataset:
     """Immutable training/evaluation data.
 
     features is stored dense and column-major so per-feature sorted scans
-    touch contiguous memory.  All arrays are frozen after construction and
-    safe to share across threads.
+    touch contiguous memory.  Every array is the Dataset's own copy, frozen
+    after construction, so it is safe to share across threads.
     """
 
     def __init__(self, features, response, exposure=None, adjustment=None,
@@ -47,7 +47,7 @@ class Dataset:
             i, j = np.argwhere(~np.isfinite(features))[0]
             raise DataError(f"non-finite feature value at row {i}, column {j}")
 
-        response = np.asarray(response, dtype=np.float64).reshape(-1)
+        response = np.array(response, dtype=np.float64).reshape(-1)
         if response.shape[0] != n:
             raise DataError(f"response length {response.shape[0]} != row count {n}")
         if not np.all(np.isfinite(response)):
@@ -77,7 +77,7 @@ class Dataset:
     def _positive_column(values, n, what):
         if values is None:
             return np.ones(n, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        values = np.array(values, dtype=np.float64).reshape(-1)
         if values.shape[0] != n:
             raise DataError(f"{what} length {values.shape[0]} != row count {n}")
         if not np.all(np.isfinite(values) & (values > 0.0)):
@@ -399,7 +399,9 @@ def _sample_response(rng, dist, p, exposure, adjustment):
 def _draw_choices(rng, choices, n, what):
     if choices is None:
         return np.ones(n, dtype=np.float64)
-    choices = np.asarray(list(choices), dtype=np.float64)
+    if isinstance(choices, (tuple, np.ndarray)):
+        choices = list(choices)
+    choices = np.asarray(typed_items(choices, "number", what, ValidationError))
     if choices.size < 1 or not np.all(np.isfinite(choices) & (choices > 0)):
         raise ValidationError(f"{what} must be a non-empty list of positive numbers")
     return choices[rng.integers(0, choices.size, size=n)]

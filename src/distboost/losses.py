@@ -481,8 +481,7 @@ def make_loss(name, nuisance=None):
     unknown = [k for k in nuisance if k not in required]
     if unknown:
         raise ValidationError(f"loss '{name}' got unknown nuisance key(s): {', '.join(unknown)}")
-    return cls(**{k: typed(nuisance[k], "number", f"loss '{name}' nuisance '{k}'",
-                           ValidationError) for k in required})
+    return cls(**nuisance)
 
 
 @dataclass(frozen=True)

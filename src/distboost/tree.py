@@ -86,6 +86,10 @@ class RegressionTree:
 
     def __init__(self, feature, threshold, left, right, weight, roots=0, first=0):
         self.first = first  # the number of the first tree in error messages
+        # copy what the caller could still write to; read-only arrays (load's views) are kept
+        feature, threshold, left, right, weight, roots = (
+            a.copy() if isinstance(a, np.ndarray) and a.flags.writeable else a
+            for a in (feature, threshold, left, right, weight, roots))
         self.feature = _index_column(feature, "feature")
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = _index_column(left, "left")

@@ -138,7 +138,7 @@ def test_empty_param_blocks_take_the_dataclass_defaults():
                                "params": [{"rounds": None, "domain": None,
                                            "base_value": None}]})
     assert config.param_configs == [db.ParamTrainConfig()]
-    with pytest.raises(db.ValidationError, match=r"config.params\[0\].eta: expected a "
+    with pytest.raises(db.ValidationError, match=r"config.params\[0\]: eta: expected a "
                                                  "finite number, got None"):
         parse_run_config({"loss": {"name": "gamma", "nuisance": {"alpha": 5.0}},
                           "total_rounds": 1, "params": [{"eta": None}]})
@@ -429,12 +429,12 @@ def _run(argv, capsys):
 
 
 @pytest.mark.parametrize("overrides, field", [
-    ({"params": [{"eta": "fast"}]}, "config.params[0].eta"),
+    ({"params": [{"eta": "fast"}]}, "config.params[0]: eta"),
     ({"params": [None]}, "config.params[0]"),
     ({"loss": {"name": "gamma", "nuisance": {"alpha": "x"}}}, "alpha"),
     ({"total_rounds": 3.7}, "config.total_rounds"),
     ({"total_rounds": True}, "config.total_rounds"),
-    ({"params": [{"max_depth": "3"}]}, "config.params[0].max_depth"),
+    ({"params": [{"max_depth": "3"}]}, "config.params[0]: max_depth"),
     ({"params": [{"domain": [1.0, "x"]}]}, "config.params[0].domain[1]"),
     ({"seed": -1, "holdout_fraction": 0.2}, "seed"),
     ({"total_rounds": 1e308}, "config.total_rounds"),
@@ -810,6 +810,30 @@ def test_readme_walkthrough_prints_what_the_readme_shows(tmp_path, capsys):
     assert main(["eval", "--model", model, "--data", data]) == 0
     assert main(["predict", "--model", model, "--data", data,
                  "--out", str(tmp_path / "preds.csv")]) == 0
+
+
+def test_readme_config_reference_lists_exactly_the_accepted_keys():
+    from distboost import cli
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config reference")[1].split("```jsonc\n")[1].split("\n```")[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    assert doc.keys() == cli._TOP_KEYS
+    assert doc["loss"].keys() == cli._LOSS_KEYS
+    assert doc["params"][0].keys() == cli._PARAM_KEYS
+
+
+def test_train_warns_once_when_the_loss_ends_above_its_start(tmp_path, capsys):
+    # first-order steps at eta = 1 overshoot the gamma mean by far
+    config = _gamma_config(tmp_path, total_rounds=1, params=[
+        {"eta": 1.0, "a": 0.0, "lambda_reg": 1.0, "max_depth": 1}])
+    code = main(["train", "--data", _gamma_csv(tmp_path, n=60), "--config", config,
+                 "--out", str(tmp_path / "m.json")])
+    out, err = capsys.readouterr()
+    final = float(out.split("final_train_nll=")[1])
+    assert code == 0 and len(err.splitlines()) == 1
+    assert err.startswith("warning: training loss ended above its starting value (")
+    start = float(err.split("(")[1].split(")")[0])
+    assert final > start
 
 
 _ZIP_SPEC = {"cuts": [[0.5], [0.5]],

@@ -391,6 +391,15 @@ def test_dataset_is_immutable():
         ds.response[0] = 5.0
 
 
+def test_dataset_keeps_its_own_copy_of_the_callers_columns():
+    X, y, e, adj = np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), np.ones(3), np.ones(3)
+    ds = db.Dataset(X, y, e, adj)
+    X[0, 0], y[0], e[1], adj[2] = -1.0, -7.0, -3.0, -5.0
+    assert ds.features[0, 0] == 1.0 and ds.response[0] == 1.0
+    assert ds.exposure[1] == 1.0 and ds.adjustment[2] == 1.0
+    assert all(a.flags.writeable for a in (X, y, e, adj))
+
+
 def test_dataset_fingerprint_tracks_content():
     a = db.Dataset([[1.0], [2.0]], [1.0, 2.0])
     b = db.Dataset([[1.0], [2.0]], [1.0, 2.0])
@@ -440,6 +449,29 @@ def test_synthetic_exposure_choices_respected():
                                lambda X: {"beta": 1.0, "gamma": 1.0},
                                exposure_choices=[0.5, 1.0, 2.0])
     assert set(np.unique(ds.exposure)) == {0.5, 1.0, 2.0}
+
+
+@pytest.mark.parametrize("choices, message", [
+    (["x"], "exposure_choices[0]: expected a finite number, got 'x'"),
+    ([True, 2], "exposure_choices[0]: expected a finite number, got True"),
+    ((2.0, False), "exposure_choices[1]: expected a finite number, got False"),
+    (np.array([True]), "exposure_choices[0]: expected a finite number, got np.True_"),
+    ("0.5", "exposure_choices: expected an array, got '0.5'"),
+    ([], "exposure_choices must be a non-empty list of positive numbers"),
+    ([1.0, -2.0], "exposure_choices must be a non-empty list of positive numbers"),
+], ids=["string", "bool", "tuple-bool", "array-bool", "not-a-list", "empty", "negative"])
+def test_synthetic_choice_lists_are_lists_of_positive_numbers(choices, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        db.generate_synthetic("zip", 10, 1, lambda X: {"mu": 1.0, "alpha": 0.5},
+                              exposure_choices=choices)
+
+
+@pytest.mark.parametrize("choices", [(0.5, 2), np.array([0.5, 2.0]), np.array([1, 2])],
+                         ids=["tuple", "float-array", "int-array"])
+def test_synthetic_choice_lists_may_be_tuples_or_arrays(choices):
+    ds = db.generate_synthetic("zip", 200, 1, lambda X: {"mu": 1.0, "alpha": 0.5},
+                               adjustment_choices=choices)
+    assert set(np.unique(ds.adjustment)) == set(np.asarray(choices, dtype=np.float64))
 
 
 def test_synthetic_rejects_unknown_dist():

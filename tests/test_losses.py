@@ -304,6 +304,12 @@ def test_negbin_underdispersed_init_clamps_to_floor():
     assert beta0 == loss.default_domains(ds)[0].lo
 
 
+def test_negbin_init_on_all_zero_counts_is_both_floors():
+    ds = db.Dataset(np.zeros((4, 1)), np.zeros(4), exposure=[0.5, 1.0, 2.0, 1.0])
+    loss = db.negbin_nll()
+    assert loss.mle_init(ds) == tuple(d.lo for d in loss.default_domains(ds))
+
+
 def _old_trigamma_hess(theta, y, e):
     """The gamma hessian as two scipy trigamma calls, before the count sum."""
     r = np.asarray(e) * np.asarray(theta[1])

@@ -182,6 +182,22 @@ def test_tree_params_validation():
         db.TreeParams(min_leaf_samples=0)
 
 
+def test_tree_copies_writeable_inputs_and_keeps_read_only_ones():
+    columns = [np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
+               np.array([2, -1, -1]), np.array([0.0, -1.0, 1.0])]
+    tree = db.RegressionTree(*columns)
+    for c in columns:
+        c[:] = 0
+    assert np.array_equal(tree.predict_many([[0.0], [1.0]]), [-1.0, 1.0])
+    assert all(c.flags.writeable for c in columns)
+    frozen = [c.copy() for c in columns]
+    for c in frozen:
+        c.setflags(write=False)
+    tree = db.RegressionTree(*frozen)
+    assert all(mine is theirs for mine, theirs in zip(
+        (tree.feature, tree.threshold, tree.left, tree.right, tree.weight), frozen))
+
+
 def test_validate_structure_detects_cycle():
     tree = db.RegressionTree([0, -1], [0.5, 0.0], [0, -1], [1, -1], [0.0, 1.0])
     with pytest.raises(ValidationError, match="twice|cycle"):
