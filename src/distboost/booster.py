@@ -118,9 +118,12 @@ class BoostedModel:
 
     Prediction for parameter j is the base value plus the shrunken sum of
     its trees, clamped once into the parameter's working interval.  The sum
-    adds tree after tree in fit order, never pairwise as np.sum may, over one
-    stacked tree per parameter, packed and validated at construction and
-    routed in one pass.
+    adds tree after tree in fit order, never pairwise as np.sum may.  One
+    routing table, packed and validated at construction, holds every
+    parameter's base value and trees in turn, so a quote, or a chunk of a
+    batch, is routed once for all parameters.  A sum that ties a bound of
+    opposite sign (-0.0 at 0.0) keeps its own, as np.clip with scalar bounds
+    does; np.clip with array bounds would take the bound's.
     """
 
     def __init__(self, loss_name, nuisance, feature_names, params):
@@ -131,18 +134,24 @@ class BoostedModel:
             raise ValidationError(
                 f"feature_names must be nonempty and distinct, got {self.feature_names}")
         self.params = tuple(replace(p, trees=tuple(p.trees)) for p in params)
-        # per parameter, validated once: base value as one-leaf tree -1, then trees shrunk by eta
-        self._stacks = []
+        n = len(self.feature_names)
         for j, p in enumerate(self.params):
             for k, (_, eta) in enumerate(p.trees):
                 _check_eta(eta, f"params[{j}].trees: tree {k} ")
-            stack = RegressionTree.stack([_LEAF_TREE] + [t for t, _ in p.trees],
-                                         [p.base_value] + [eta for _, eta in p.trees], -1)
-            try:
-                stack.validate_structure(len(self.feature_names))
-            except ValidationError as exc:
-                raise ValidationError(f"params[{j}].trees: {exc}") from None
-            self._stacks.append(stack)
+        self._table = _param_stack(*self.params)
+        try:
+            self._table.validate_structure(n)
+        except ValidationError:
+            for j, p in enumerate(self.params):  # name the first parameter at fault
+                try:
+                    _param_stack(p).validate_structure(n)
+                except ValidationError as exc:
+                    raise ValidationError(f"params[{j}].trees: {exc}") from None
+            raise
+        # parameter j's base value and trees are the table's roots a:b, clamped into [lo, hi]
+        ends = np.cumsum([0] + [len(p.trees) + 1 for p in self.params]).tolist()
+        self._slices = [(a, b, float(p.domain.lo), float(p.domain.hi))
+                        for a, b, p in zip(ends, ends[1:], self.params)]
 
     @property
     def n_params(self):
@@ -161,25 +170,36 @@ class BoostedModel:
     def predict(self, x):
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         self._check_width(x.shape[0])
-        return tuple(clamp_to_domain(np.cumsum(stack.predict(x))[-1], p.domain)
-                     for p, stack in zip(self.params, self._stacks))
+        w = self._table.predict(x)
+        # min and max of floats keep a sum that ties a bound, as the class docstring requires
+        return tuple(min(max(np.add.accumulate(w[a:b]).item(-1), lo), hi)
+                     for a, b, lo, hi in self._slices)
 
     def predict_many(self, X):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValidationError("X must be 2-D")
         self._check_width(X.shape[1])
-        out = np.empty((X.shape[0], self.n_params))
-        for j, (p, stack) in enumerate(zip(self.params, self._stacks)):
-            step = max(1, _ROUTE_BUDGET // stack.roots.size)
-            for lo in range(0, X.shape[0], step):
-                W = stack.predict_many(X[lo:lo + step])
-                acc = W[0].copy()  # contiguous; tree by tree, as cumsum would
-                for w in W[1:]:
+        sums = np.empty((self.n_params, X.shape[0]))  # a contiguous row per parameter
+        step = max(1, _ROUTE_BUDGET // self._table.roots.size)
+        for r in range(0, X.shape[0], step):
+            W = self._table.predict_many(X[r:r + step])
+            for acc, (a, b, _, _) in zip(sums[:, r:r + step], self._slices):
+                acc[:] = W[a]
+                for w in W[a + 1:b]:  # tree by tree, as cumsum would
                     acc += w
-                out[lo:lo + step, j] = acc
-            out[:, j] = clamp_to_domain(out[:, j], p.domain)
+        out = np.empty((X.shape[0], self.n_params))
+        for j, (_, _, lo, hi) in enumerate(self._slices):
+            np.clip(sums[j], lo, hi, out=out[:, j])
         return out
+
+
+def _param_stack(*params):
+    """The parameters' base values as one-leaf trees, each followed by its
+    trees shrunk by eta, packed in one routing table numbered from tree -1."""
+    return RegressionTree.stack(
+        [t for p in params for t in [_LEAF_TREE] + [t for t, _ in p.trees]],
+        [s for p in params for s in [p.base_value] + [eta for _, eta in p.trees]], -1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ The tree layer is clipping-agnostic: callers hand it g and h_eff arrays.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -71,6 +72,11 @@ def _index_column(values, key):
     if index is None or not np.array_equal(index, column):
         raise ValidationError(f"node column {key} must hold whole numbers that fit np.intp")
     return index
+
+
+# RegressionTree._router: per-state columns, the first step's arrays, the input width needed
+_Router = collections.namedtuple("_Router", "feature threshold weight child root_feature "
+                                            "root_threshold root_state width")
 
 
 class RegressionTree:
@@ -178,40 +184,49 @@ class RegressionTree:
 
     @functools.cached_property
     def _router(self):
-        """Node arrays in router form: a row at node i steps to
-        child[2 i + (x[feature[i]] < threshold[i])], and a leaf is its own
-        child, so `depth` steps take every row from its root to its leaf."""
+        """Node arrays in router form, indexed by a row's state s = 2 i at
+        node i: the row steps to state child[s + (x[feature[s]] <
+        threshold[s])], and a leaf is its own child, so `depth` steps take
+        every row from its root to its leaf, where weight[s] is its value.
+        The first step reads the roots' own feature, threshold and state."""
         leaf = self.feature < 0
         ids = np.arange(self.n_nodes, dtype=np.intp)
-        child = np.column_stack([np.where(leaf, ids, self.right),
-                                 np.where(leaf, ids, self.left)]).reshape(-1)
+        child = 2 * np.column_stack([np.where(leaf, ids, self.right),
+                                     np.where(leaf, ids, self.left)]).reshape(-1)
         feat = np.where(leaf, 0, self.feature)
-        return feat, child, int(feat.max(initial=-1)) + 1
+        roots = self.roots[..., None]
+        return _Router(feat.repeat(2), self.threshold.repeat(2), self.weight.repeat(2), child,
+                       feat.take(self.roots), self.threshold.take(roots), 2 * roots,
+                       int(feat.max(initial=-1)) + 1)
 
-    def _leaves(self, X):
-        """Leaf node of every row in every tree: shape roots.shape + (rows,).
+    def _states(self, X):
+        """State of every row's leaf in every tree: shape roots.shape + (rows,).
         Every row takes max(depth, 1) steps; a leaf is its own child."""
-        feat, child, width = self._router
+        feat, thr, _, child, root_feat, root_thr, root_state, width = self._router
         n, m = X.shape
         if m < width:
             raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
-        roots = self.roots[..., None]
         # every row starts at its tree's root, so the first step reads one column per tree
-        node = child.take(2 * roots + (X.T[feat.take(self.roots)] < self.threshold.take(roots)))
+        state = child.take(root_state + (X.T[root_feat] < root_thr))
         flat = np.ascontiguousarray(X).reshape(-1)
         row_start = np.arange(0, n * m, m)
         for _ in range(self.depth - 1):
-            goes_left = flat.take(row_start + feat.take(node)) < self.threshold.take(node)
-            node = child.take(2 * node + goes_left)
-        return node
+            goes_left = flat.take(row_start + feat.take(state)) < thr.take(state)
+            state = child.take(state + goes_left)
+        return state
+
+    def _leaves(self, X):
+        """Leaf node of every row in every tree: shape roots.shape + (rows,)."""
+        return self._states(X) >> 1
 
     def predict(self, x):
         """Leaf weight of one row: a float, or one per tree for a stack."""
-        w = self.weight[self._leaves(np.asarray(x, dtype=np.float64).reshape(1, -1))[..., 0]]
+        state = self._states(np.asarray(x, dtype=np.float64).reshape(1, -1))[..., 0]
+        w = self._router.weight[state]
         return float(w) if w.ndim == 0 else w
 
     def predict_many(self, X):
-        return self.weight[self._leaves(np.asarray(X, dtype=np.float64))]
+        return self._router.weight[self._states(np.asarray(X, dtype=np.float64))]
 
     def validate_structure(self, n_features):
         """Reject node graphs that are not proper binary trees, and nodes

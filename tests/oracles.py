@@ -7,9 +7,7 @@ share its bugs.  The exceptions are split_gain, which combines the
 package's leaf_score so that its tests check that formula, and
 ref_build_tree_scan, a frozen copy of the package's earlier builder that
 pins the current one to the same trees, bit for bit; it uses the package's
-leaf formulas, presort and tree class.  Likewise ref_leaves is a frozen copy
-of the earlier router, which took every level, the first included, by
-per-tree-row gathers; it reads the tree's router arrays.
+leaf formulas, presort and tree class.
 """
 
 from typing import NamedTuple
@@ -344,16 +342,16 @@ def ref_build_tree_scan(X, g, h_eff, params: TreeParams, presorted=None):
     return RegressionTree(feature, threshold, left, right, weight)
 
 
-def ref_leaves(self, X):
-    """Leaf node of every row in every tree: shape roots.shape + (rows,)."""
-    feat, child, width = self._router
-    n, m = X.shape
-    if m < width:
-        raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
-    flat = np.ascontiguousarray(X).reshape(-1)
-    row_start = np.arange(0, n * m, m)
-    node = np.broadcast_to(self.roots[..., None], self.roots.shape + (n,))
-    for _ in range(self.depth):
-        goes_left = flat.take(row_start + feat.take(node)) < self.threshold.take(node)
-        node = child.take(2 * node + goes_left)
-    return node
+def ref_leaves(tree, X):
+    """Leaf node of every row in every tree: shape roots.shape + (rows,).
+    Each row walks down each tree from its root through the node columns,
+    left iff x[feature] < threshold."""
+    roots = np.asarray(tree.roots).reshape(-1)
+    out = np.empty((roots.size, len(X)), dtype=np.intp)
+    for t, root in enumerate(roots):
+        for r, x in enumerate(X):
+            i = int(root)
+            while tree.feature[i] >= 0:
+                i = int(tree.left[i] if x[tree.feature[i]] < tree.threshold[i] else tree.right[i])
+            out[t, r] = i
+    return out.reshape(np.shape(tree.roots) + (len(X),))

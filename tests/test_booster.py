@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -449,13 +450,15 @@ def test_statistic_adjustments_are_elementwise():
 
 def _assert_batch_matches_quotes(model, seed):
     from distboost import booster
-    # enough rows for predict_many to route them in at least three chunks
-    trees = min(len(p.trees) for p in model.params)
-    X = np.random.default_rng(seed).random((3 * booster._ROUTE_BUDGET // (trees + 1) + 17,
+    # enough rows for predict_many to route them in at least three chunks of
+    # its one table, which holds every parameter's base value and trees
+    roots = sum(len(p.trees) + 1 for p in model.params)
+    X = np.random.default_rng(seed).random((3 * (booster._ROUTE_BUDGET // roots) + 17,
                                             len(model.feature_names)))
     many = model.predict_many(X)
-    each = np.array([model.predict(x) for x in X])
-    assert many.tobytes() == each.tobytes()
+    quotes = [model.predict(x) for x in X]
+    assert all(type(q) is tuple and all(type(v) is float for v in q) for q in quotes)
+    assert many.tobytes() == np.array(quotes).tobytes()
     return many
 
 
@@ -481,6 +484,49 @@ def test_predict_many_matches_predict_bitwise_with_single_leaf_trees():
     _assert_batch_matches_quotes(model, 6)
 
 
+def test_predict_many_matches_predict_bitwise_with_unequal_depths():
+    ds = db.generate_synthetic("negbin", 400, 5, lambda X: {"beta": 1.0 + X[:, 1],
+                                                           "gamma": 1.0 + 3.0 * X[:, 0]})
+    # beta's depth-1 trees stay at their leaves while gamma's trees take two more steps
+    cfgs = [db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=d)) for d in (1, 3)]
+    model = db.train(ds, db.negbin_nll(), cfgs, 20).model
+    assert {t.depth for t, _ in model.params[0].trees} == {1}
+    assert max(t.depth for t, _ in model.params[1].trees) == 3
+    _assert_batch_matches_quotes(model, 7)
+
+
+def test_predict_many_matches_predict_bitwise_without_trees():
+    ds = db.generate_synthetic("negbin", 300, 3, lambda X: {"beta": 1.0, "gamma": 2.0})
+    cfg = db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=2))
+    model = db.train(ds, db.negbin_nll(), [cfg] * 2, 10).model
+    # every parameter at its base value alone, and one parameter with trees beside one without
+    constant = db.BoostedModel(model.loss_name, model.nuisance, model.feature_names,
+                               [db.ParamEnsemble(p.name, p.base_value, p.domain, [])
+                                for p in model.params])
+    assert _assert_batch_matches_quotes(constant, 8)[0].tolist() == [p.base_value
+                                                                     for p in model.params]
+    beta, gamma = model.params
+    mixed = db.BoostedModel(model.loss_name, model.nuisance, model.feature_names,
+                            [beta, db.ParamEnsemble(gamma.name, gamma.base_value,
+                                                    gamma.domain, [])])
+    assert np.all(_assert_batch_matches_quotes(mixed, 9)[:, 1] == gamma.base_value)
+    X = np.random.default_rng(9).random((50, len(model.feature_names)))
+    assert np.array_equal(mixed.predict_many(X)[:, 0], model.predict_many(X)[:, 0])
+
+
+@pytest.mark.parametrize("base, lo, hi", [(-0.0, 0.0, 1.0), (0.0, -1.0, -0.0)])
+def test_quote_and_batch_keep_the_sign_of_a_zero_at_the_domain_edge(base, lo, hi):
+    # np.clip with scalar bounds, as training clamps, keeps -0.0 at lo = 0.0;
+    # np.minimum(np.maximum(-0.0, 0.0), 1.0), or np.clip with array bounds, gives +0.0
+    model = db.BoostedModel("squared_error", {}, ("x1",), [
+        db.ParamEnsemble("theta", base, db.ParameterDomain(lo, hi), [])])
+    many = _assert_batch_matches_quotes(model, 10)
+    assert np.all(many == 0.0) and np.all(np.signbit(many) == np.signbit(base))
+    (quote,) = model.predict([0.5])
+    assert math.copysign(1.0, quote) == math.copysign(1.0, base)
+    assert db.clamp_to_domain(base, db.ParameterDomain(lo, hi)).hex() == quote.hex()
+
+
 @pytest.mark.parametrize("last_chunk", [1, 2])
 @pytest.mark.parametrize("loss, params", [
     (db.gamma_nll(5.0), lambda X: {"mu": np.where(X[:, 0] < 0.5, 2.0, 6.0), "alpha": 5.0}),
@@ -493,17 +539,19 @@ def test_predict_many_adds_trees_in_fit_order(loss, params, last_chunk):
     cfg = db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=3))
     model = db.train(ds, loss, [cfg] * loss.n_params, 40).model
     assert [len(p.trees) for p in model.params] == [40] * loss.n_params
-    step = booster._ROUTE_BUDGET // 41
+    # predict_many routes chunks of its one table, which holds every parameter's
+    # base value and trees, so the last chunk has last_chunk rows
+    step = booster._ROUTE_BUDGET // (41 * loss.n_params)
     X = np.random.default_rng(9).random((2 * step + last_chunk, 2))
-    # the reference adds tree after tree (cumsum is sequential) in every
-    # chunk; np.sum or np.add.reduce over the tree axis is not that sum: on
-    # a one-row chunk the reduction is contiguous and numpy adds pairwise
-    want = np.empty_like(model.predict_many(X))
-    for j, (p, stack) in enumerate(zip(model.params, model._stacks)):
-        assert stack.roots.size == len(p.trees) + 1
-        for lo in range(0, len(X), step):
-            want[lo:lo + step, j] = np.cumsum(stack.predict_many(X[lo:lo + step]), axis=0)[-1]
-        want[:, j] = db.clamp_to_domain(want[:, j], p.domain)
+    # the reference adds tree after tree (cumsum is sequential) per parameter;
+    # np.sum or np.add.reduce over the tree axis is not that sum: on a one-row
+    # chunk the reduction is contiguous and numpy adds pairwise
+    leaf = db.RegressionTree([-1], [0.0], [-1], [-1], [1.0])
+    want = np.empty((len(X), loss.n_params))
+    for j, p in enumerate(model.params):
+        stack = db.RegressionTree.stack([leaf] + [t for t, _ in p.trees],
+                                        [p.base_value] + [eta for _, eta in p.trees])
+        want[:, j] = db.clamp_to_domain(np.cumsum(stack.predict_many(X), axis=0)[-1], p.domain)
     assert model.predict_many(X).tobytes() == want.tobytes()
 
 
