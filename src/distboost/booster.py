@@ -134,20 +134,18 @@ class BoostedModel:
             raise ValidationError(
                 f"feature_names must be nonempty and distinct, got {self.feature_names}")
         self.params = tuple(replace(p, trees=tuple(p.trees)) for p in params)
-        n = len(self.feature_names)
+        # parameter after parameter: its base value as a one-leaf tree, named
+        # tree -1 in messages, then its trees shrunk by eta
+        names, trees, scales = [], [], []
         for j, p in enumerate(self.params):
-            for k, (_, eta) in enumerate(p.trees):
-                _check_eta(eta, f"params[{j}].trees: tree {k} ")
-        self._table = _param_stack(*self.params)
-        try:
-            self._table.validate_structure(n)
-        except ValidationError:
-            for j, p in enumerate(self.params):  # name the first parameter at fault
-                try:
-                    _param_stack(p).validate_structure(n)
-                except ValidationError as exc:
-                    raise ValidationError(f"params[{j}].trees: {exc}") from None
-            raise
+            for k, (tree, scale) in enumerate([(_LEAF_TREE, p.base_value), *p.trees], -1):
+                names.append(f"params[{j}].trees: tree {k}")
+                if k >= 0:
+                    _check_eta(scale, f"{names[-1]} ")
+                trees.append(tree)
+                scales.append(scale)
+        self._table = RegressionTree.stack(trees, scales, names)
+        self._table.validate_structure(len(self.feature_names))
         # parameter j's base value and trees are the table's roots a:b, clamped into [lo, hi]
         ends = np.cumsum([0] + [len(p.trees) + 1 for p in self.params]).tolist()
         self._slices = [(a, b, float(p.domain.lo), float(p.domain.hi))
@@ -192,14 +190,6 @@ class BoostedModel:
         for j, (_, _, lo, hi) in enumerate(self._slices):
             np.clip(sums[j], lo, hi, out=out[:, j])
         return out
-
-
-def _param_stack(*params):
-    """The parameters' base values as one-leaf trees, each followed by its
-    trees shrunk by eta, packed in one routing table numbered from tree -1."""
-    return RegressionTree.stack(
-        [t for p in params for t in [_LEAF_TREE] + [t for t, _ in p.trees]],
-        [s for p in params for s in [p.base_value] + [eta for _, eta in p.trees]], -1)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,13 @@ import numpy as np
 from .errors import DataError, ValidationError
 from .fields import count, read_text, typed, typed_items
 
-SYNTHETIC_DISTRIBUTIONS = ("gamma", "zip", "negbin")
-
 # Parameter keys the synthetic sampler expects from a param_fn, per distribution.
 _PARAM_KEYS = {
     "gamma": ("mu", "alpha"),
     "zip": ("mu", "alpha"),
     "negbin": ("beta", "gamma"),
 }
+SYNTHETIC_DISTRIBUTIONS = tuple(_PARAM_KEYS)
 
 
 class Dataset:
@@ -424,7 +423,8 @@ def split_holdout(ds, fraction, seed):
         raise ValidationError(f"holdout fraction must be in (0, 1), got {fraction}")
     n = ds.n_rows
     if n < 2:
-        raise ValidationError("cannot split a dataset with fewer than 2 rows")
+        raise ValidationError(f"{ds.source}: holdout_fraction {fraction} needs at least 2 "
+                              f"rows to split, got {n}")
     k = min(n - 1, max(1, int(math.floor(n * fraction))))
     perm = _rng(count(seed, "seed", ValidationError)).permutation(n)
     hold = np.sort(perm[:k])

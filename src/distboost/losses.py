@@ -139,10 +139,6 @@ class Loss:
                 raise ValidationError(f"{self.name} parameter '{name}' must be positive")
         return (*theta, self.validate_response(y))
 
-    def __repr__(self):
-        nus = ", ".join(f"{k}={v}" for k, v in sorted(self.nuisance.items()))
-        return f"{type(self).__name__}({nus})"
-
 
 # counts up to this many are summed directly in _trigamma_difference; larger
 # counts take the two scipy trigamma calls.  On a 2-vCPU Xeon a row's terms

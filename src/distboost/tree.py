@@ -85,13 +85,14 @@ class RegressionTree:
     Stored as parallel node arrays; feature[i] == -1 marks a leaf.  Routing
     is "left iff x[feature] < threshold": a sample exactly at the threshold
     goes right.  `RegressionTree.stack` packs several trees into one set of
-    node arrays with one root per tree, which predicts one row per tree.
+    node arrays with one root per tree, which predicts one row per tree;
+    error messages call tree k names[k], or "tree k" without names.
     """
 
     root = 0
 
-    def __init__(self, feature, threshold, left, right, weight, roots=0, first=0):
-        self.first = first  # the number of the first tree in error messages
+    def __init__(self, feature, threshold, left, right, weight, roots=0, names=None):
+        self.names = None if names is None else tuple(names)
         # copy what the caller could still write to; read-only arrays (load's views) are kept
         feature, threshold, left, right, weight, roots = (
             a.copy() if isinstance(a, np.ndarray) and a.flags.writeable else a
@@ -110,11 +111,11 @@ class RegressionTree:
             arr.setflags(write=False)
 
     @classmethod
-    def stack(cls, trees, scales, first=0):
+    def stack(cls, trees, scales, names=None):
         """Pack trees into one set of node arrays, one root per tree in order.
 
         Tree t's leaf weights are multiplied by scales[t].  Error messages
-        number the trees from `first`.
+        call tree t names[t], or "tree t" without names.
         """
         sizes = [t.n_nodes for t in trees]
         roots = np.cumsum([0] + sizes[:-1])
@@ -124,7 +125,7 @@ class RegressionTree:
             for key in ("feature", "threshold", "left", "right", "weight"))
         return cls(feature, threshold, np.where(left >= 0, left + offset, -1),
                    np.where(right >= 0, right + offset, -1),
-                   weight * np.repeat(scales, sizes), roots, first)
+                   weight * np.repeat(scales, sizes), roots, names)
 
     @property
     def n_nodes(self):
@@ -134,11 +135,14 @@ class RegressionTree:
     def n_leaves(self):
         return int(np.sum(self.feature < 0))
 
+    def _tree(self, k):
+        return f"tree {k}" if self.names is None else self.names[k]
+
     def _name(self, i):
         """Node i, named by its tree and its index within that tree."""
         roots = self.roots.reshape(-1)
         k = int(np.searchsorted(roots, i, side="right")) - 1
-        return f"tree {self.first + k} node {i - roots[k]}"
+        return f"{self._tree(k)} node {i - roots[k]}"
 
     @functools.cached_property
     def depth(self):
@@ -154,8 +158,7 @@ class RegressionTree:
         roots = self.roots.reshape(-1)
         ends = np.concatenate([roots[1:], [n]])
         if (roots >= ends).any():
-            raise ValidationError(f"tree {self.first + int(np.argmax(roots >= ends))} "
-                                  "has no nodes")
+            raise ValidationError(f"{self._tree(int(np.argmax(roots >= ends)))} has no nodes")
         parents = np.flatnonzero(split)
         tree = np.searchsorted(roots, parents, side="right") - 1
         lo, hi = roots[tree], ends[tree]

@@ -434,6 +434,8 @@ def test_predict_rejects_arity_mismatch():
         db.ParamEnsemble("theta", 0.0, db.ParameterDomain(-1.0, 1.0), [])])
     with pytest.raises(ValidationError, match="expected 2 features"):
         model.predict([1.0])
+    with pytest.raises(ValidationError, match="^X must be 2-D$"):
+        model.predict_many([1.0, 2.0])
 
 
 def test_statistic_adjustments_are_elementwise():

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +76,16 @@ def test_train_with_holdout_prints_holdout_nll(tmp_path, capsys):
                  "--out", model]) == 0
     out = capsys.readouterr().out
     assert "holdout_nll=" in out
+
+
+def test_holdout_of_a_one_row_csv_exits_2_naming_the_file(tmp_path, capsys):
+    data = _gamma_csv(tmp_path, n=1)
+    config = _gamma_config(tmp_path, holdout_fraction=0.25)
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: holdout_fraction 0.25 needs at least 2 rows to split, got 1\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_final_train_nll_is_the_eval_total_nll_when_rows_clamp(tmp_path, capsys):
@@ -332,6 +345,18 @@ def test_check_loss_pass_and_fail(capsys):
                  "--y-samples", "1"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out and "minima near" in out
+
+
+@pytest.mark.parametrize("loss, code", [("double_well", 3), ("tweedie", 2)])
+def test_python_m_passes_the_exit_code_on(loss, code):
+    # `sys.exit(main())` runs only when the module is the program
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "distboost.cli", "check-loss", "--loss", loss,
+                          "--y-samples", "1"], env=env, capture_output=True, text=True)
+    assert run.returncode == code
+    assert (loss in run.stderr) == (code == 2) and "Traceback" not in run.stderr
 
 
 def test_check_loss_bad_flags(capsys):

@@ -65,6 +65,18 @@ def test_load_csv_missing_column(tmp_path):
         db.load_csv(path, "z")
 
 
+@pytest.mark.parametrize("text, response_col, message", [
+    ("", "y", "empty file (header row required)"),
+    ("x1,y\n", "y", "no data rows"),
+    ("x1,y\n1,2\n", None, "response_col is required"),
+], ids=["empty", "header-only", "no-response-col"])
+def test_load_csv_refuses_a_file_without_rows_or_a_response(tmp_path, text, response_col,
+                                                            message):
+    path = _write(tmp_path, text)
+    with pytest.raises(DataError, match=re.escape(message)):
+        db.load_csv(path, response_col)
+
+
 def test_load_csv_binds_named_features_and_ignores_extras(tmp_path):
     path = _write(tmp_path, "x2,id,y,x1\n1,7,3,2\n4,8,6,5\n")
     ds = db.load_csv(path, "y", feature_names=("x1", "x2"))
@@ -376,8 +388,9 @@ def test_dataset_rejects_empty():
     ([[[1.0]], [1.0]], {"feature_names": ["a", "b"]}, "2 feature names for 1 features"),
     ([[[1.0, 2.0]], [1.0]], {"feature_names": ["a", "a"]}, "duplicate feature names"),
     ([[[1.0], [2.0]], [1.0, 2.0]], {"exposure": [1.0]}, "exposure length 1 != row count 2"),
+    ([[1.0, 2.0], [1.0, 2.0]], {}, "features must be a 2-D matrix"),
 ], ids=["response-length", "response-non-finite", "name-count", "duplicate-names",
-        "exposure-length"])
+        "exposure-length", "features-1-D"])
 def test_dataset_refuses_columns_that_do_not_fit_the_features(args, kwargs, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         db.Dataset(*args, **kwargs)
@@ -486,6 +499,8 @@ def test_synthetic_rejects_bad_params():
         db.generate_synthetic("gamma", 10, 0, lambda X: {"mu": 1.0})
     with pytest.raises(ValidationError):
         db.generate_synthetic("zip", 10, 0, lambda X: {"mu": 1.0, "alpha": 1.5})
+    with pytest.raises(ValidationError, match="^non-finite 'alpha' produced by param_fn$"):
+        db.generate_synthetic("gamma", 10, 0, lambda X: {"mu": 1.0, "alpha": np.nan})
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +551,13 @@ def test_split_nonempty_guarantee():
     ds = db.Dataset([[0.0], [1.0]], [0.0, 1.0])
     main, hold = db.split_holdout(ds, 0.999, 2)
     assert (main.n_rows, hold.n_rows) == (1, 1)
+
+
+def test_split_of_one_row_names_the_source_fraction_and_row_count():
+    ds = db.Dataset([[0.0]], [1.0], source="one.csv")
+    with pytest.raises(ValidationError, match=re.escape(
+            "one.csv: holdout_fraction 0.5 needs at least 2 rows to split, got 1")):
+        db.split_holdout(ds, 0.5, 0)
 
 
 def test_split_rejects_degenerate_fraction():

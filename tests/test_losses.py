@@ -221,8 +221,9 @@ def _zip_rows(mu, n, seed):
     (0.5, _zip_rows(0.012, 500, 3), "interior"),
     (1.0, _zip_rows(2.0, 400, 5), "mean"),
     (0.5, np.zeros(50), "floor"),
+    (1e-7, np.array([0.0, 1.0, 1.0]), "floor"),
     (0.3, 1.0 + np.arange(40) % 7, "no-zeros"),
-], ids=["mean-2", "low-mean", "alpha-1", "all-zeros", "no-zeros"])
+], ids=["mean-2", "low-mean", "alpha-1", "all-zeros", "rising-at-floor", "no-zeros"])
 def test_zip_mle_init_is_the_exact_constant_fit(alpha, y, root):
     ds = db.Dataset(np.zeros((y.size, 1)), y)
     loss = db.zip_nll(alpha)
@@ -497,6 +498,29 @@ def test_validate_response_returns_the_float64_response(case):
 
 
 # ---------------------------------------------------------------------------
+# ParameterDomain and the Loss interface
+
+def test_parameter_domain_contains_its_closed_interval():
+    dom = db.ParameterDomain(0.0, 1.0)
+    assert dom.contains(0.5) and dom.contains([0.0, 0.25, 1.0])
+    assert not dom.contains([0.5, 1.5]) and not dom.contains(-1e-300)
+    assert not dom.contains(np.nan)
+
+
+def test_a_loss_that_fills_in_nothing_raises_not_implemented():
+    class Bare(db.Loss):
+        name = "bare"
+        param_names = ("theta",)
+
+    loss, ds = Bare(), db.Dataset([[0.0]], [1.0])
+    for method in (lambda: loss.value((0.0,), 1.0), lambda: loss.grad(0, (0.0,), 1.0),
+                   lambda: loss.hess(0, (0.0,), 1.0), lambda: loss.mle_init(ds),
+                   lambda: loss.default_domains(ds)):
+        with pytest.raises(NotImplementedError):
+            method()
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 def test_registry_round_trip():
@@ -559,6 +583,26 @@ def test_admissibility_double_well_fails_naming_both_minima():
     assert len(locs) == 2
     assert locs[0] == pytest.approx(-1.0, abs=0.05)
     assert locs[1] == pytest.approx(1.0, abs=0.05)
+
+
+def test_admissibility_fails_a_slice_with_no_minimum_that_is_not_monotone():
+    class Cap(db.squared_error):
+        name = "cap"
+
+        def value(self, theta, y, exposure=1.0, adjustment=1.0):
+            th, _ = self._args(theta, y)
+            return -th * th
+
+        def grad(self, j, theta, y, exposure=1.0, adjustment=1.0):
+            th, _ = self._args(theta, y, j)
+            return -2.0 * th
+
+        def default_domains(self, ds=None):
+            return (db.ParameterDomain(-3.0, 3.0),)
+
+    report = db.check_admissibility(Cap(), [1.0], 512)
+    assert not report.passed
+    assert report.describe() == "y=1 param=theta: fail\ncap: FAIL"
 
 
 def test_admissibility_over_generated_samples():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def _one_tree_doc(feature, left, right):
     }
 
 
+@pytest.mark.parametrize("block, value, message", [
+    ("domain", {"lo": 1, "hi": 0}, "params[0].domain: invalid domain [1.0, 0.0]"),
+    ("trees", {"eta": [0.1], "size": [0], "feature": [], "threshold": [], "left": [],
+               "right": [], "weight": []}, "params[0].trees: tree 0 has no nodes"),
+], ids=["domain-reversed", "tree-without-nodes"])
+def test_param_block_faults_are_named(tmp_path, block, value, message):
+    doc = _one_tree_doc([-1], [-1], [-1])
+    doc["params"][0][block] = value
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        db.load(_write(tmp_path, doc))
+
+
 def test_cycle_in_nodes_rejected(tmp_path):
     # node 0 is its own left child
     doc = _one_tree_doc([0, -1], [0, -1], [1, -1])
@@ -131,6 +144,24 @@ def test_structure_errors_name_parameter_tree_and_local_node(tmp_path):
     trees["right"][start] = trees["left"][start]
     with pytest.raises(ModelFormatError, match=(
             rf"params\[1\]\.trees: tree {k} node {trees['left'][start]} is listed twice")):
+        db.load(_write(tmp_path, doc))
+
+
+def test_faults_in_two_parameters_report_the_first_in_check_order(tmp_path):
+    # one table holds both parameters, so its check order, not the parameter
+    # order, picks the fault: a node listed twice in params[1] is found before
+    # a split on an unknown feature in params[0]
+    doc = model_io.model_to_dict(_trained_model(n_params=2))
+    trees = [p["trees"] for p in doc["params"]]
+    k0, k1 = (max(k for k, size in enumerate(t["size"]) if size > 1) for t in trees)
+    trees[0]["feature"][sum(trees[0]["size"][:k0])] = 9
+    with pytest.raises(ModelFormatError, match=rf"^params\[0\]\.trees: tree {k0} node 0 "
+                                               "splits on unknown feature$"):
+        db.load(_write(tmp_path, doc))
+    start = sum(trees[1]["size"][:k1])
+    trees[1]["right"][start] = trees[1]["left"][start]
+    with pytest.raises(ModelFormatError, match=rf"^params\[1\]\.trees: tree {k1} node "
+                                               rf"{trees[1]['left'][start]} is listed twice"):
         db.load(_write(tmp_path, doc))
 
 

@@ -169,6 +169,10 @@ def test_build_tree_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         db.build_tree(np.zeros((2, 1)), np.ones(2), np.array([-1.0, 1.0]),
                       db.TreeParams())
+    with pytest.raises(ValidationError, match="^X must be 2-D$"):
+        db.build_tree(np.zeros(2), np.ones(2), np.ones(2), db.TreeParams())
+    with pytest.raises(ValidationError, match="^g and h_eff must be 1-D arrays matching X rows$"):
+        db.build_tree(np.zeros((2, 1)), np.ones(3), np.ones(2), db.TreeParams())
 
 
 def test_tree_params_validation():
@@ -451,6 +455,20 @@ def test_stack_predicts_each_tree_scaled():
     expected = np.array([s * t.predict_many(Q) for t, s in zip(trees, scales)])
     assert np.array_equal(stack.predict_many(Q), expected)
     assert np.array_equal(stack.predict(Q[7]), expected[:, 7])
+
+
+def test_stack_names_each_tree_in_its_messages():
+    leaf = db.RegressionTree([-1], [0.0], [-1], [-1], [1.0])
+    empty = db.RegressionTree([], [], [], [], [])
+    with pytest.raises(ValidationError, match="^tree 1 has no nodes$"):
+        db.RegressionTree.stack([leaf, empty, leaf], [1.0] * 3).validate_structure(1)
+    with pytest.raises(ValidationError, match="^tree 0 has no nodes$"):
+        empty.validate_structure(1)
+    stump = db.RegressionTree([0, -1, -1], [np.inf, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                              [0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="^stump node 0 has non-finite threshold$"):
+        db.RegressionTree.stack([leaf, stump], [1.0, 1.0],
+                                ["leaf", "stump"]).validate_structure(1)
 
 
 def _router_trees():
