@@ -120,8 +120,9 @@ class BoostedModel:
     its trees, clamped once into the parameter's working interval.  The sum
     adds tree after tree in fit order, never pairwise as np.sum may.  One
     routing table, packed and validated at construction, holds every
-    parameter's base value and trees in turn, so a quote, or a chunk of a
-    batch, is routed once for all parameters.  A sum that ties a bound of
+    parameter's base value and trees in turn, so a quote is routed once for
+    all parameters, and a chunk of a batch is scored once through the
+    table's prefix tables (see RegressionTree).  A sum that ties a bound of
     opposite sign (-0.0 at 0.0) keeps its own, as np.clip with scalar bounds
     does; np.clip with array bounds would take the bound's.
     """

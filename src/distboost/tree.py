@@ -78,6 +78,21 @@ def _index_column(values, key):
 _Router = collections.namedtuple("_Router", "feature threshold weight child root_feature "
                                             "root_threshold root_state width")
 
+# RegressionTree._prefix: (feature, sorted distinct thresholds, prefix table)
+# per feature the stack splits on; per tree, the slot of its leaf 0 less the
+# float64 exponent bias; the leaf weight of each slot (tree * leaves + leaf);
+# the word that holds one tree's leaves
+_Prefix = collections.namedtuple("_Prefix", "columns offset weight word")
+
+# bytes of prefix tables above which a stack keeps the router: a table within
+# it stays in a core's L2 cache beside the working arrays of a chunk of rows,
+# and a larger one grows with distinct thresholds times trees
+_TABLE_BUDGET = 1 << 18
+
+
+def _narrow(width, m):
+    return ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
+
 
 class RegressionTree:
     """Immutable binary regression tree over dense feature vectors.
@@ -87,6 +102,12 @@ class RegressionTree:
     goes right.  `RegressionTree.stack` packs several trees into one set of
     node arrays with one root per tree, which predicts one row per tree;
     error messages call tree k names[k], or "tree k" without names.
+
+    A level-wise router answers predict(x), and predict_many of a single
+    tree, of a stack with a tree of more than 64 leaves, or of a stack whose
+    prefix tables would exceed _TABLE_BUDGET bytes.  predict_many of any
+    other stack ANDs prefix tables of leaf bitmasks, one per feature.  Both
+    give the leaf that routing gives, bit for bit.
     """
 
     root = 0
@@ -135,6 +156,11 @@ class RegressionTree:
     def n_leaves(self):
         return int(np.sum(self.feature < 0))
 
+    @functools.cached_property
+    def _width(self):
+        """Columns an input needs: one past the highest feature a split reads."""
+        return int(self.feature.max(initial=-1)) + 1
+
     def _tree(self, k):
         return f"tree {k}" if self.names is None else self.names[k]
 
@@ -154,6 +180,11 @@ class RegressionTree:
         binary trees; the level walk from the roots then ends, and must
         meet every node.
         """
+        return len(self._levels) - 1
+
+    @functools.cached_property
+    def _levels(self):
+        """The nodes of each level, roots first; see depth for what it checks."""
         n, split = self.n_nodes, self.feature >= 0
         roots = self.roots.reshape(-1)
         ends = np.concatenate([roots[1:], [n]])
@@ -172,18 +203,17 @@ class RegressionTree:
             raise ValidationError(f"{self._name(int(np.argmax(listed > 1)))} is listed "
                                   "twice (cycle or shared child)")
         reached = np.zeros(n, dtype=bool)
-        level, depth = roots, 0
+        levels = [roots]
         while True:
-            reached[level] = True
-            level = level[split[level]]
+            reached[levels[-1]] = True
+            level = levels[-1][split[levels[-1]]]
             if not level.size:
                 break
-            level = np.concatenate([self.left[level], self.right[level]])
-            depth += 1
+            levels.append(np.concatenate([self.left[level], self.right[level]]))
         if not reached.all():
             raise ValidationError(f"{self._name(int(np.argmin(reached)))} is unreachable "
                                   "from its root")
-        return depth
+        return levels
 
     @functools.cached_property
     def _router(self):
@@ -200,7 +230,7 @@ class RegressionTree:
         roots = self.roots[..., None]
         return _Router(feat.repeat(2), self.threshold.repeat(2), self.weight.repeat(2), child,
                        feat.take(self.roots), self.threshold.take(roots), 2 * roots,
-                       int(feat.max(initial=-1)) + 1)
+                       self._width)
 
     def _states(self, X):
         """State of every row's leaf in every tree: shape roots.shape + (rows,).
@@ -208,7 +238,9 @@ class RegressionTree:
         feat, thr, _, child, root_feat, root_thr, root_state, width = self._router
         n, m = X.shape
         if m < width:
-            raise ValidationError(f"tree splits on feature {width - 1} of a {m}-column input")
+            raise _narrow(width, m)
+        if not m:  # then every tree is a lone leaf, which is its own state
+            return np.repeat(root_state, n, axis=-1)
         # every row starts at its tree's root, so the first step reads one column per tree
         state = child.take(root_state + (X.T[root_feat] < root_thr))
         flat = np.ascontiguousarray(X).reshape(-1)
@@ -218,9 +250,66 @@ class RegressionTree:
             state = child.take(state + goes_left)
         return state
 
-    def _leaves(self, X):
-        """Leaf node of every row in every tree: shape roots.shape + (rows,)."""
-        return self._states(X) >> 1
+    @functools.cached_property
+    def _prefix(self):
+        """A stack's prefix tables of leaf bitmasks; None for a single tree,
+        a stack with a tree of more than 64 leaves, or tables of more than
+        _TABLE_BUDGET bytes, which the router serves.
+
+        Each tree's leaves are the bits of a word, numbered left to right.  A
+        row at or above a split's threshold loses the leaves of the split's
+        left subtree; NaN thresholds sort as -inf, since no row is below them.
+        Per feature, prefix table row j holds, per tree, the AND of the masks
+        of the splits at the j lowest distinct thresholds.  ANDing the row
+        that each feature's value selects leaves a tree's leaf as its lowest
+        set bit: the row's leaf is never cleared, and every leaf left of it is.
+        """
+        if self.roots.ndim != 1:
+            return None
+        levels, split = self._levels, self.feature >= 0
+        # leaf count and first leaf of every node, numbered left to right in its tree
+        count, first = np.ones(self.n_nodes, dtype=np.intp), np.zeros(self.n_nodes, dtype=np.intp)
+        for level in reversed(levels):
+            s = level[split[level]]
+            count[s] = count[self.left[s]] + count[self.right[s]]
+        for level in levels:
+            s = level[split[level]]
+            first[self.left[s]] = first[s]
+            first[self.right[s]] = first[s] + count[self.left[s]]
+        n_leaves = int(count[self.roots].max())
+        if n_leaves > 64:
+            return None
+        word = next(np.dtype(w) for w in (np.uint8, np.uint16, np.uint32, np.uint64)
+                    if np.iinfo(w).bits >= n_leaves)
+        splits = np.flatnonzero(split)
+        f, t = self.feature[splits], self.threshold[splits]
+        t = np.where(np.isnan(t), -np.inf, t)
+        order = np.lexsort((t, f))  # by feature, then threshold
+        splits, f, t = splits[order], f[order], t[order]
+        new_feature = np.diff(f, prepend=-1) != 0
+        new_key = new_feature | (t != np.roll(t, 1))
+        # each feature's table: a row of ones, then one row per distinct threshold
+        row = np.cumsum(new_key.astype(np.intp) + new_feature) - 1
+        n_rows = np.count_nonzero(new_key) + np.count_nonzero(new_feature)
+        if n_rows * self.roots.size * word.itemsize > _TABLE_BUDGET:
+            return None
+        ends = np.append(self.roots[1:], self.n_nodes)
+        tree = np.repeat(np.arange(self.roots.size), ends - self.roots)
+        leaf = ~split
+        weight = np.zeros(self.roots.size * n_leaves)
+        weight[tree[leaf] * n_leaves + first[leaf]] = self.weight[leaf]
+        left, one = self.left[splits], np.uint64(1)
+        mask = ~(((one << count[left].astype(np.uint64)) - one)
+                 << first[left].astype(np.uint64))
+        table = np.full((n_rows, self.roots.size), np.iinfo(word).max, dtype=word)
+        np.bitwise_and.at(table, (row, tree[splits]), mask.astype(word))
+        bounds = np.append(row[new_feature] - 1, n_rows)
+        columns = []
+        for i, lo, hi in zip(np.flatnonzero(new_feature), bounds[:-1], bounds[1:]):
+            np.bitwise_and.accumulate(table[lo:hi], axis=0, out=table[lo:hi])
+            columns.append((int(f[i]), t[new_key & (f == f[i])], table[lo:hi]))
+        offset = (np.arange(self.roots.size) * n_leaves - 1023)[:, None]
+        return _Prefix(columns, offset, weight, word)
 
     def predict(self, x):
         """Leaf weight of one row: a float, or one per tree for a stack."""
@@ -229,7 +318,28 @@ class RegressionTree:
         return float(w) if w.ndim == 0 else w
 
     def predict_many(self, X):
-        return self._router.weight[self._states(np.asarray(X, dtype=np.float64))]
+        """Leaf weights of every row: shape roots.shape + (rows,), from the
+        prefix tables where _prefix builds them, else from the router."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValidationError("X must be 2-D")
+        prefix = self._prefix
+        if prefix is None:
+            return self._router.weight[self._states(X)]
+        if X.shape[1] < self._width:
+            raise _narrow(self._width, X.shape[1])
+        bits = np.full((X.shape[0], self.roots.size), np.iinfo(prefix.word).max,
+                       dtype=prefix.word)
+        for f, thresholds, table in prefix.columns:
+            # the prefix table row that each row's value selects
+            bits &= table.take(np.searchsorted(thresholds, X[:, f], side="right"), axis=0)
+        bits = np.ascontiguousarray(bits.T)
+        bits &= -bits  # the lowest set bit; unsigned negation wraps
+        # 2**leaf as a float64 has the exponent field 1023 + leaf
+        slot = bits.astype(np.float64).view(np.int64)
+        slot >>= 52
+        slot += prefix.offset
+        return prefix.weight.take(slot)
 
     def validate_structure(self, n_features):
         """Reject node graphs that are not proper binary trees, and nodes

@@ -557,6 +557,33 @@ def test_predict_many_adds_trees_in_fit_order(loss, params, last_chunk):
     assert model.predict_many(X).tobytes() == want.tobytes()
 
 
+def test_predict_many_routes_a_table_with_a_tree_of_more_than_64_leaves():
+    X = np.random.default_rng(11).random((600, 2))
+    small, deep = (db.build_tree(X, np.sin(40.0 * X[:, 0]) + X[:, 1], np.ones(600),
+                                 db.TreeParams(max_depth=d, lambda_reg=1e-6)) for d in (2, 7))
+    assert deep.n_leaves > 64
+    ensemble = db.ParamEnsemble("theta", 0.5, db.ParameterDomain(-0.5, 1.5),
+                                [(small, 0.5), (deep, 0.5)])
+    model = db.BoostedModel("squared_error", {}, ("x1", "x2"), [ensemble])
+    _assert_batch_matches_quotes(model, 11)
+    assert model._table._prefix is None  # one word per tree holds at most 64 leaves
+
+
+def test_predict_many_routes_a_table_whose_prefix_tables_exceed_the_budget(monkeypatch):
+    from distboost import tree
+    ds = db.generate_synthetic("negbin", 400, 5, lambda X: {"beta": 1.0 + X[:, 1],
+                                                           "gamma": 1.0 + 3.0 * X[:, 0]})
+    cfg = db.ParamTrainConfig(eta=0.3, tree=db.TreeParams(max_depth=3))
+    model = db.train(ds, db.negbin_nll(), [cfg] * 2, 20).model
+    size = sum(table.nbytes for _, _, table in model._table._prefix.columns)
+    assert size < tree._TABLE_BUDGET
+    for budget, built in ((size, True), (size - 1, False)):
+        monkeypatch.setattr(tree, "_TABLE_BUDGET", budget)
+        vars(model._table).pop("_prefix")  # build the tables again under this budget
+        _assert_batch_matches_quotes(model, 12)
+        assert (model._table._prefix is not None) is built
+
+
 @pytest.mark.parametrize("name", ["nb_joint", "gamma_wide", "zip_score"])
 def test_train_writes_the_bytes_of_the_earlier_scan_builder(tmp_path, monkeypatch, name):
     # the benchmark's workload shapes at their tiny sizes, trained by `cli

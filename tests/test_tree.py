@@ -478,15 +478,38 @@ def _router_trees():
             for _ in range(3)]
     assert all(t.depth == 4 for t in deep)
     leaf = db.RegressionTree([-1], [0.0], [-1], [-1], [0.25])
+    # feature 0 at 0.5 splits the stump and both children of the second tree's
+    # root; no row lies below the third tree's NaN threshold
+    stump = db.RegressionTree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                              [1.0, 2.0, 3.0])
+    two = db.RegressionTree([1, 0, -1, -1, 0, -1, -1], [0.25, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+                            [1, 2, -1, -1, 5, -1, -1], [4, 3, -1, -1, 6, -1, -1],
+                            [0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 4.0])
+    nan = db.RegressionTree([2, -1, -1], [np.nan, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                            [1.0, 2.0, 3.0])
+    # 17 to 32 and 33 to 64 leaves: words of 32 and 64 bits
+    mid, wide = (db.build_tree(X, np.sin(40.0 * X[:, 0]) + X[:, 1], np.ones(200),
+                               db.TreeParams(max_depth=d, lambda_reg=1e-6)) for d in (5, 6))
+    assert 16 < mid.n_leaves <= 32 < wide.n_leaves <= 64
     return {"depth-0 stack": db.RegressionTree.stack([leaf, leaf, leaf], [1.0, 2.0, 3.0]),
             "single tree": deep[0],
             "mixed stack": db.RegressionTree.stack([leaf, deep[0], leaf, leaf, deep[1], deep[2]],
-                                                   [1.0] * 6)}
+                                                   [1.0] * 6),
+            "shared threshold": db.RegressionTree.stack([stump, two, nan, mid], [1.0] * 4),
+            "deep stack": db.RegressionTree.stack([deep[1], wide, leaf], [1.0] * 3)}
 
 
-@pytest.mark.parametrize("name", ["depth-0 stack", "single tree", "mixed stack"])
+@pytest.mark.parametrize("name", ["depth-0 stack", "single tree", "mixed stack",
+                                  "shared threshold", "deep stack"])
 def test_router_matches_the_per_tree_row_reference_bitwise(name):
     tree = _router_trees()[name]
+    # each leaf weighs its node index, so predict_many names every row's leaf
+    probe = db.RegressionTree(tree.feature, tree.threshold, tree.left, tree.right,
+                              np.arange(tree.n_nodes), tree.roots)
+    # a stack scores batches by prefix tables in the narrowest word; a single tree by the router
+    word = {"depth-0 stack": "uint8", "mixed stack": "uint16", "shared threshold": "uint32",
+            "deep stack": "uint64"}.get(name)
+    assert word == (probe._prefix and probe._prefix.word.name)
     Q = np.random.default_rng(43).random((500, 3))
     split = tree.feature >= 0
     # row i holds split i's threshold exactly in its feature, so every root is met at its threshold
@@ -494,14 +517,30 @@ def test_router_matches_the_per_tree_row_reference_bitwise(name):
     Q[-6:] = [[np.nan, 0.5, 0.5], [0.5, np.inf, -np.inf], [-np.inf, np.nan, np.inf],
               [np.inf, np.inf, np.inf], [-np.inf, -np.inf, -np.inf], [np.nan] * 3]
     for X in (Q, *(Q[i:i + 1] for i in (0, 1, 250, 494, 495, 496, 497, 498, 499))):
-        got, want = tree._leaves(X), oracles.ref_leaves(tree, X)
-        assert got.shape == want.shape == tree.roots.shape + (len(X),)
-        assert np.array_equal(got, want)
+        want = oracles.ref_leaves(tree, X)
+        assert want.shape == tree.roots.shape + (len(X),)
+        assert np.array_equal(tree._states(X) >> 1, want)
+        got = probe.predict_many(X)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_predict_rejects_narrow_input():
     X = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
     tree = db.build_tree(X, np.array([-1.0, 0.0, 1.0]), np.ones(3), db.TreeParams())
     assert tree.feature[tree.root] == 1
-    with pytest.raises(ValidationError, match="feature 1"):
-        tree.predict_many(X[:, :1])
+    stack = db.RegressionTree.stack([tree, tree], [1.0, 2.0])
+    for t in (tree, stack):
+        with pytest.raises(ValidationError, match="feature 1"):
+            t.predict_many(X[:, :1])
+        with pytest.raises(ValidationError, match="^X must be 2-D$"):
+            t.predict_many(X[:, 1])
+
+
+def test_one_leaf_trees_accept_zero_column_input():
+    leaf = db.RegressionTree([-1], [0.0], [-1], [-1], [0.25])
+    stack = db.RegressionTree.stack([leaf, leaf], [1.0, 2.0])
+    assert leaf.predict(np.zeros(0)) == 0.25
+    assert leaf.predict_many(np.zeros((3, 0))).tolist() == [0.25] * 3
+    # quotes take the router, batches of a stack the prefix tables
+    assert stack.predict(np.zeros(0)).tolist() == [0.25, 0.5]
+    assert stack.predict_many(np.zeros((3, 0))).tolist() == [[0.25] * 3, [0.5] * 3]
